@@ -18,7 +18,6 @@ from .calibration import (
     surface_diff,
 )
 from .data_io import (
-    MarketConfig,
     OptionChain,
     OptionQuote,
     parse_option_chain,
@@ -62,6 +61,7 @@ from .sde import (
 )
 from .volatility import (
     DAYS_PER_YEAR,
+    VOL_METHODS,
     GarchParams,
     ReturnSeries,
     VolEstimate,

@@ -31,8 +31,7 @@ __all__ = [
     "surface_diff",
 ]
 
-PRICE_TOL_PER_SPOT = 1e-9   # primary: |model - market| <= 1e-9 * spot
-P_TOL = 1e-10               # fallback: bracket width on p
+P_TOL = 1e-10  # absolute tolerance on the root p
 
 
 class ClampStatus(str, enum.Enum):
@@ -69,22 +68,30 @@ def implied_excess_predictability(
     Raises QuoteRejectedError when the quote sits outside even the
     deterministic no-arbitrage band of the pricer (above S e^{sigma^2 tau},
     or not a positive price).
+
+    The guarantee is on p: the root is within P_TOL + 8 ulp(1) |p| of the
+    exact one, so the price residual is bounded by about
+    |dC/dp| (P_TOL + 8 ulp(1) |p|) plus the pricer's rounding.  |dC/dp| =
+    sigma^2 tau S e^{-q tau} Phi(d_+) can be large, so the residual is not
+    bounded by any fixed fraction of spot.
     """
+    # finiteness is checked before the sign of the price, so a non-finite
+    # input is an InputError even when the price is also non-positive
     if not all(map(math.isfinite, (market_price, spot, strike, tau, rate, sigma))):
         raise InputError("calibration inputs must be finite")
     if market_price <= 0:
         raise QuoteRejectedError(f"market price must be > 0, got {market_price}")
-    if sigma * math.sqrt(max(tau, 0.0)) == 0.0 or tau < 0:
-        # price is p-independent without diffusion: the root is not identified
-        raise InputError("implied p is not identifiable at sigma*sqrt(tau) == 0")
 
     def model(p: float) -> float:
         return call_price(PricingInputs(spot=spot, strike=strike, tau=tau,
                                         rate=rate, sigma=sigma, p=p)).price
 
-    moneyness = spot / strike
-    hi = model(-1.0)   # p = -1 maximizes the call (negative dividend yield)
+    hi = model(-1.0)   # p = -1 maximizes the call (negative dividend yield); validates the inputs
+    if sigma * math.sqrt(tau) == 0.0:
+        # price is p-independent without diffusion: the root is not identified
+        raise InputError("implied p is not identifiable at sigma*sqrt(tau) == 0")
     lo = model(+1.0)
+    moneyness = spot / strike
 
     upper_bound = spot * math.exp(sigma * sigma * tau)  # S e^{-q tau} at q = -sigma^2
     if market_price > upper_bound:
@@ -100,8 +107,6 @@ def implied_excess_predictability(
                                 market_price, lo, lo - market_price)
 
     # model(p) - market changes sign over [-1, 1]; decreasing in p.
-    # brentq guarantees the bracket-width tolerance P_TOL; the price residual
-    # then sits well inside PRICE_TOL_PER_SPOT * spot because |dC/dp| <= sigma^2 tau S.
     f = lambda p: model(p) - market_price
     root = brentq(f, -1.0, 1.0, xtol=P_TOL, rtol=8 * math.ulp(1.0), maxiter=200)
     root = min(1.0, max(-1.0, float(root)))
@@ -142,15 +147,16 @@ class PredictabilitySurface:
         return counts
 
 
-def build_surface(chain, spot: float, rate: float, vol: VolEstimate) -> PredictabilitySurface:
+def build_surface(chain, rate: float, vol: VolEstimate) -> PredictabilitySurface:
     """Calibrate every call quote of an option chain into a surface.
 
-    Mid price is (bid+ask)/2, moneyness spot/strike, tau calendar days to
-    expiry / 365.  Quotes that cannot be calibrated (zero mids, rejected
+    Mid price is (bid+ask)/2, moneyness chain.spot/strike, tau calendar days
+    to expiry / 365.  Quotes that cannot be calibrated (zero mids, rejected
     prices) are recorded in `failures`, not fatal.
     """
-    if spot <= 0:
-        raise InputError("spot must be > 0")
+    if not math.isfinite(rate):
+        raise InputError("risk_free_rate must be finite")
+    spot = chain.spot
     quotes = [q for q in chain.quotes if q.right == "call"]
     if not quotes:
         raise InputError("option chain has no call quotes")

@@ -19,24 +19,17 @@ from .errors import PredbsError
 __all__ = ["main", "build_parser"]
 
 
-def _p_flag(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float {text!r}")
-    if not -1.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"p must be in [-1, 1], got {value}")
-    return value
-
-
-def _alpha_flag(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must be in [0, 1], got {value}")
-    return value
+def _bounded_float(name: str, lo: float, hi: float):
+    """argparse type: a float in [lo, hi], else a usage error naming `name`."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float {text!r}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{name} must be in [{lo:g}, {hi:g}], got {value}")
+        return value
+    return parse
 
 
 def _render(fields: list[tuple[str, object]], fmt: str) -> str:
@@ -83,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, required=True, help="time to maturity in years")
     sp.add_argument("--rate", type=float, required=True, help="continuous risk-free rate per year")
     sp.add_argument("--sigma", type=float, required=True, help="annualized volatility")
-    sp.add_argument("--p", type=_p_flag, default=0.0, help="excess predictability in [-1, 1]")
+    sp.add_argument("--p", type=_bounded_float("p", -1.0, 1.0), default=0.0,
+                    help="excess predictability in [-1, 1]")
     sp.add_argument("--right", choices=("call", "put"), default="call")
     _add_common(sp)
     sp.set_defaults(func=cmd_price)
@@ -91,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("simulate", help="offset-convention GBM drift report")
     sp.add_argument("--mu", type=float, required=True, help="drift per year")
     sp.add_argument("--sigma", type=float, required=True)
-    sp.add_argument("--alpha", type=_alpha_flag, default=0.0, help="integral offset in [0, 1]")
+    sp.add_argument("--alpha", type=_bounded_float("alpha", 0.0, 1.0), default=0.0,
+                    help="integral offset in [0, 1]")
     sp.add_argument("--s0", type=float, default=100.0)
     sp.add_argument("--horizon", type=float, default=1.0, help="years")
     sp.add_argument("--steps", type=int, default=252)
@@ -100,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = subs.add_parser("vol", help="sigma estimate from a returns file or VIX quote")
-    sp.add_argument("--method", choices=("vix", "historical", "realized", "garch"), required=True)
+    sp.add_argument("--method", choices=volatility.VOL_METHODS, required=True)
     sp.add_argument("--returns", default=None, help="CSV date,log_return or date,close")
     sp.add_argument("--window", type=int, default=252, help="trading days (historical/realized)")
     sp.add_argument("--vix", type=float, default=None, help="VIX quote in index points")
@@ -128,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chain", required=True, help="option chain CSV")
     sp.add_argument("--spot", type=float, required=True)
     sp.add_argument("--rate", type=float, required=True)
-    sp.add_argument("--method", choices=("vix", "historical", "realized", "garch"), required=True)
+    sp.add_argument("--method", choices=volatility.VOL_METHODS, required=True)
     sp.add_argument("--returns", default=None)
     sp.add_argument("--window", type=int, default=252)
     sp.add_argument("--vix", type=float, default=None)
@@ -234,12 +229,11 @@ def cmd_calibrate(args) -> int:
 def cmd_surface(args) -> int:
     if not args.out:
         raise PredbsError("surface requires --out for the surface CSV")
-    market = data_io.MarketConfig(risk_free_rate=args.rate, vol_method=args.method)
-    est = _vol_estimate(market.vol_method, args.returns, args.window, args.vix)
+    est = _vol_estimate(args.method, args.returns, args.window, args.vix)
     chain = data_io.parse_option_chain(args.chain, spot=args.spot, symbol=args.symbol)
     for note in chain.skipped:
         print(f"skipped: {note}", file=sys.stderr)
-    surface = calibration.build_surface(chain, spot=args.spot, rate=market.risk_free_rate, vol=est)
+    surface = calibration.build_surface(chain, rate=args.rate, vol=est)
     for note in surface.failures:
         print(f"not calibrated: {note}", file=sys.stderr)
     data_io.write_surface(surface, args.out)

@@ -27,7 +27,6 @@ from .volatility import ReturnSeries
 __all__ = [
     "OptionQuote",
     "OptionChain",
-    "MarketConfig",
     "parse_option_chain",
     "parse_return_series",
     "write_surface",
@@ -91,53 +90,44 @@ class OptionChain:
         return len(self.quotes)
 
 
-@dataclass(frozen=True)
-class MarketConfig:
-    risk_free_rate: float
-    vol_method: str = "realized"
-    day_count: float = 365.0
+def _read_csv(source: Source, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Read a CSV source into its header and its non-empty (line number, row) pairs.
 
-    def __post_init__(self):
-        if not math.isfinite(self.risk_free_rate):
-            raise InputError("risk_free_rate must be finite")
-        if self.vol_method not in ("vix", "historical", "realized", "garch"):
-            raise InputError(f"unknown vol method {self.vol_method!r}")
-
-
-def _open_text(source: Source):
-    """Return (text_file_object, should_close). Byte streams are decoded as UTF-8."""
-    if isinstance(source, (str, Path)):
+    Paths are opened and closed here; byte streams are decoded as UTF-8 and,
+    like text streams, left open.  Header cells are stripped of whitespace
+    and a leading byte-order mark.
+    """
+    should_close = isinstance(source, (str, Path))
+    if should_close:
         try:
-            return open(source, "r", encoding="utf-8", newline=""), True
+            fh = open(source, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise ParseError(f"cannot open {source}: {exc}") from exc
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-    return source, False
-
-
-def _read_rows(source: Source, expected_header: list[str], what: str):
-    fh, should_close = _open_text(source)
+    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        fh = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    else:
+        fh = source
     try:
-        try:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{what}: file is empty, expected header {','.join(expected_header)}")
-            header = [h.strip().lstrip("﻿") for h in header]
-            missing = [col for col in expected_header if col not in header]
-            if missing:
-                raise ParseError(f"{what}: header {header} lacks required columns {missing}")
-            extra = [col for col in header if col not in expected_header]
-            idx = {col: header.index(col) for col in expected_header}
-            rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
-            return idx, rows, extra
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ParseError(f"{what}: unreadable content: {exc}") from exc
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{what}: file is empty")
+        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{what}: unreadable content: {exc}") from exc
     finally:
         if should_close:
             fh.close()
+        elif fh is not source:
+            fh.detach()  # a dropped wrapper would close the caller's byte stream
+    return [h.strip().lstrip("\ufeff") for h in header], rows
+
+
+def _column_index(header: list[str], expected: list[str], what: str) -> dict[str, int]:
+    missing = [col for col in expected if col not in header]
+    if missing:
+        raise ParseError(f"{what}: header {header} lacks required columns {missing}")
+    return {col: header.index(col) for col in expected}
 
 
 def _parse_date(text: str, what: str, line_no: int) -> date:
@@ -164,7 +154,8 @@ def parse_option_chain(source: Source, spot: float, symbol: str = "SPY") -> Opti
     a DataQualityError.
     """
     what = "option chain"
-    idx, rows, _extra = _read_rows(source, CHAIN_HEADER, what)
+    header, rows = _read_csv(source, what)
+    idx = _column_index(header, CHAIN_HEADER, what)
     quotes: list[OptionQuote] = []
     skipped: list[str] = []
     chain_date: Optional[date] = None
@@ -209,42 +200,28 @@ def parse_option_chain(source: Source, spot: float, symbol: str = "SPY") -> Opti
 def parse_return_series(source: Source) -> ReturnSeries:
     """Parse a returns CSV: header date,log_return, or date,close (auto log-differenced)."""
     what = "return series"
-    fh, should_close = _open_text(source)
-    try:
-        try:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip().lstrip("﻿") for h in next(reader)]
-            except StopIteration:
-                raise ParseError(f"{what}: file is empty")
-            if header[:2] == ["date", "log_return"]:
-                mode = "returns"
-            elif header[:2] == ["date", "close"]:
-                mode = "closes"
-            else:
-                raise ParseError(f"{what}: header must be date,log_return or date,close, got {header}")
-            dates: list[date] = []
-            values: list[float] = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) < 2:
-                    raise ParseError(f"{what} line {line_no}: expected 2 fields, got {len(row)}")
-                d = _parse_date(row[0], what, line_no)
-                v = _parse_float(row[1], what, line_no)
-                if not math.isfinite(v):
-                    raise ParseError(f"{what} line {line_no}: non-finite value {row[1]!r}")
-                if dates and d <= dates[-1]:
-                    raise ParseError(f"{what} line {line_no}: dates not strictly ascending at {d}")
-                if mode == "closes" and v <= 0:
-                    raise ParseError(f"{what} line {line_no}: non-positive close {v}")
-                dates.append(d)
-                values.append(v)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ParseError(f"{what}: unreadable content: {exc}") from exc
-    finally:
-        if should_close:
-            fh.close()
+    header, rows = _read_csv(source, what)
+    if header[:2] == ["date", "log_return"]:
+        mode = "returns"
+    elif header[:2] == ["date", "close"]:
+        mode = "closes"
+    else:
+        raise ParseError(f"{what}: header must be date,log_return or date,close, got {header}")
+    dates: list[date] = []
+    values: list[float] = []
+    for line_no, row in rows:
+        if len(row) < 2:
+            raise ParseError(f"{what} line {line_no}: expected 2 fields, got {len(row)}")
+        d = _parse_date(row[0], what, line_no)
+        v = _parse_float(row[1], what, line_no)
+        if not math.isfinite(v):
+            raise ParseError(f"{what} line {line_no}: non-finite value {row[1]!r}")
+        if dates and d <= dates[-1]:
+            raise ParseError(f"{what} line {line_no}: dates not strictly ascending at {d}")
+        if mode == "closes" and v <= 0:
+            raise ParseError(f"{what} line {line_no}: non-positive close {v}")
+        dates.append(d)
+        values.append(v)
     if mode == "closes":
         if len(values) < 3:
             raise ParseError(f"{what}: need >= 3 closes to form >= 2 returns")
@@ -292,7 +269,9 @@ def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> Non
 def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
     """Read back a surface written by write_surface; unknown extra columns are ignored."""
     what = "surface"
-    idx, rows, extra = _read_rows(path, SURFACE_HEADER, what)
+    header, rows = _read_csv(path, what)
+    idx = _column_index(header, SURFACE_HEADER, what)
+    extra = [col for col in header if col not in SURFACE_HEADER]
     if extra:
         warnings.warn(f"{what} {path}: ignoring unknown columns {extra}", stacklevel=2)
     points: list[CalibrationPoint] = []

@@ -74,7 +74,7 @@ class PricingInputs:
 
     @property
     def dividend_yield(self) -> float:
-        return dividend_yield_due_to_predictability(self.p, self.sigma)
+        return self.p * self.sigma * self.sigma  # p and sigma were checked on construction
 
 
 @dataclass(frozen=True)
@@ -96,44 +96,39 @@ def d_plus_minus(inputs: PricingInputs) -> tuple[float, float]:
     return (log_fwd + half_var) / sig_sqrt_tau, (log_fwd - half_var) / sig_sqrt_tau
 
 
-def _deterministic_call(inputs: PricingInputs) -> PriceResult:
+def _price(inputs: PricingInputs, w: int) -> PriceResult:
+    """w = +1 prices the call, w = -1 the put: w (S e^{-q tau} Phi(w d_+) - K e^{-r tau} Phi(w d_-)).
+
+    Without diffusion the value is the discounted forward payoff w * gap.
+    Deep out of the money the two terms can cancel to a few ulp below zero,
+    so the price is floored at 0.
+    """
     q = inputs.dividend_yield
-    fwd_gap = inputs.spot * math.exp(-q * inputs.tau) - inputs.strike * math.exp(-inputs.rate * inputs.tau)
-    price = max(fwd_gap, 0.0)
-    d = math.inf if fwd_gap > 0 else -math.inf
-    return PriceResult(price=price, d_plus=d, d_minus=d, dividend_yield=q)
+    if inputs.sigma * math.sqrt(inputs.tau) == 0.0:
+        gap = inputs.spot * math.exp(-q * inputs.tau) - inputs.strike * math.exp(-inputs.rate * inputs.tau)
+        dp = dm = w * (math.inf if w * gap > 0 else -math.inf)
+        price = w * gap
+    else:
+        dp, dm = d_plus_minus(inputs)
+        price = w * (
+            inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(w * dp)
+            - inputs.strike * math.exp(-inputs.rate * inputs.tau) * norm_cdf(w * dm)
+        )
+    return PriceResult(price=price if price > 0.0 else 0.0, d_plus=dp, d_minus=dm, dividend_yield=q)
 
 
 def call_price(inputs: PricingInputs) -> PriceResult:
     """Call value S e^{-q tau} Phi(d_+) - K e^{-r tau} Phi(d_-) with q = p sigma^2."""
-    if inputs.sigma * math.sqrt(inputs.tau) == 0.0:
-        return _deterministic_call(inputs)
-    q = inputs.dividend_yield
-    dp, dm = d_plus_minus(inputs)
-    price = (
-        inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(dp)
-        - inputs.strike * math.exp(-inputs.rate * inputs.tau) * norm_cdf(dm)
-    )
-    return PriceResult(price=price, d_plus=dp, d_minus=dm, dividend_yield=q)
+    return _price(inputs, 1)
 
 
 def put_price(inputs: PricingInputs) -> PriceResult:
     """Put value K e^{-r tau} Phi(-d_-) - S e^{-q tau} Phi(-d_+).
 
-    Equivalent to dividend-adjusted parity P = C - S e^{-q tau} + K e^{-r tau}.
+    Equal to dividend-adjusted parity P = C - S e^{-q tau} + K e^{-r tau},
+    without the cancellation that computing it from C would add.
     """
-    q = inputs.dividend_yield
-    if inputs.sigma * math.sqrt(inputs.tau) == 0.0:
-        fwd_gap = inputs.strike * math.exp(-inputs.rate * inputs.tau) - inputs.spot * math.exp(-q * inputs.tau)
-        price = max(fwd_gap, 0.0)
-        d = math.inf if fwd_gap > 0 else -math.inf
-        return PriceResult(price=price, d_plus=-d, d_minus=-d, dividend_yield=q)
-    dp, dm = d_plus_minus(inputs)
-    price = (
-        inputs.strike * math.exp(-inputs.rate * inputs.tau) * norm_cdf(-dm)
-        - inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(-dp)
-    )
-    return PriceResult(price=price, d_plus=dp, d_minus=dm, dividend_yield=q)
+    return _price(inputs, -1)
 
 
 def dprice_dp(inputs: PricingInputs) -> float:

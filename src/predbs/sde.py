@@ -34,6 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
+from .pricing import PricingInputs
 
 __all__ = [
     "BrownianPath",
@@ -298,18 +299,11 @@ def mc_risk_neutral_call(
     continuous dividend yield.  Terminal prices are sampled exactly (one normal
     per path), so the estimate carries statistical error only.
     """
-    vals = (s0, strike, tau, rate, sigma, p)
-    if not all(map(math.isfinite, vals)):
-        raise InputError("all pricing inputs must be finite")
-    if s0 <= 0 or strike <= 0 or tau <= 0:
-        raise InputError("s0, strike and tau must be > 0")
-    if sigma < 0:
-        raise InputError("sigma must be >= 0")
-    if not -1.0 <= p <= 1.0:
-        raise InputError(f"p must be in [-1, 1], got {p}")
+    q = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p).dividend_yield
+    if tau <= 0:
+        raise InputError("tau must be > 0")
     if paths < 1:
         raise InputError("paths must be >= 1")
-    q = p * sigma * sigma
     disc = math.exp(-rate * tau)
     if sigma == 0.0:
         price = disc * max(s0 * math.exp((rate - q) * tau) - strike, 0.0)

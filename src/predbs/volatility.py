@@ -28,6 +28,7 @@ from .errors import EstimationError, InputError
 
 __all__ = [
     "DAYS_PER_YEAR",
+    "VOL_METHODS",
     "ReturnSeries",
     "VolEstimate",
     "GarchParams",
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 DAYS_PER_YEAR = 365.0
+VOL_METHODS = ("vix", "historical", "realized", "garch")
 _SQRT_DAYS = math.sqrt(DAYS_PER_YEAR)
 
 
@@ -90,7 +92,7 @@ class VolEstimate:
     as_of: Optional[date] = None
 
     def __post_init__(self):
-        if self.method not in ("vix", "historical", "realized", "garch"):
+        if self.method not in VOL_METHODS:
             raise InputError(f"unknown method {self.method!r}")
         if self.sigma_daily < 0 or self.sigma_annual < 0:
             raise InputError("sigma must be >= 0")

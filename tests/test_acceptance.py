@@ -195,7 +195,7 @@ def test_criterion_07_qualitative_surface_shape():
                                           strike=strike, right="call", bid=c, ask=c))
         chain = OptionChain(quote_date=quote_date, symbol="SYN", spot=spot, quotes=tuple(quotes))
         vol = VolEstimate.from_daily("realized", sigma / math.sqrt(365.0), 252, quote_date)
-        surface = build_surface(chain, spot=spot, rate=rate, vol=vol)
+        surface = build_surface(chain, rate=rate, vol=vol)
         assert len(surface) == len(grid) * len(expiries)
         assert not surface.failures
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from predbs.calibration import (
+    P_TOL,
     ClampStatus,
     PredictabilitySurface,
     build_surface,
@@ -13,7 +14,7 @@ from predbs.calibration import (
 )
 from predbs.data_io import OptionChain, OptionQuote
 from predbs.errors import InputError, QuoteRejectedError
-from predbs.pricing import PricingInputs, call_price
+from predbs.pricing import PricingInputs, call_price, dprice_dp
 from predbs.volatility import VolEstimate
 
 
@@ -96,6 +97,37 @@ def test_zero_diffusion_not_identifiable():
                                       rate=0.03, sigma=0.2)
 
 
+@pytest.mark.parametrize("args, error", [
+    ((math.nan, 100.0, 100.0, 0.5, 0.03, 0.2), InputError),
+    ((-1.0, math.nan, 100.0, 0.5, 0.03, 0.2), InputError),       # finiteness before price sign
+    ((0.0, 100.0, 100.0, 0.5, 0.03, math.inf), InputError),
+    ((-1.0, -5.0, 100.0, 0.5, 0.03, 0.2), QuoteRejectedError),   # price sign before spot sign
+    ((0.0, 100.0, 100.0, -1.0, 0.03, 0.2), QuoteRejectedError),
+    ((5.0, -5.0, 100.0, 0.5, 0.03, 0.2), InputError),
+    ((5.0, 100.0, 0.0, 0.5, 0.03, 0.2), InputError),              # validated before spot / strike
+    ((5.0, 100.0, 100.0, -0.5, 0.03, 0.2), InputError),
+    ((5.0, 100.0, 100.0, 0.5, 0.03, -0.2), InputError),
+    ((500.0, 100.0, 100.0, 0.5, 0.03, 0.2), QuoteRejectedError),
+])
+def test_invalid_quote_error_class(args, error):
+    with pytest.raises(error):
+        implied_excess_predictability(*args)
+
+
+@pytest.mark.parametrize("market_price, kw", [
+    # |dC/dp| ~ 2e5 at the root: the residual is 1.07e-7 x spot, yet within the p tolerance
+    (24551.999490991522, dict(spot=23.996390678636494, strike=19.71372348926691, tau=2.912998964644583,
+                              rate=0.07942521166767266, sigma=1.727380559142743)),
+    (model_price(p=0.3, **BASE), BASE),
+])
+def test_residual_within_p_tolerance_bound(market_price, kw):
+    pt = implied_excess_predictability(market_price, **kw)
+    assert pt.clamped is ClampStatus.NONE
+    slope = abs(dprice_dp(PricingInputs(p=pt.p, **kw)))
+    rounding = 16 * math.ulp(max(kw["spot"] * math.exp(kw["sigma"] ** 2 * kw["tau"]), kw["strike"]))
+    assert abs(pt.residual) <= slope * (P_TOL + 8 * math.ulp(1.0) * abs(pt.p)) + rounding
+
+
 def test_expired_quote_recorded_as_failure_not_fatal():
     qd = date(2015, 1, 2)
     live = OptionQuote(quote_date=qd, expiry_date=date(2015, 4, 2), strike=100.0,
@@ -104,7 +136,7 @@ def test_expired_quote_recorded_as_failure_not_fatal():
                           right="call", bid=6.0, ask=6.2)
     chain = OptionChain(quote_date=qd, symbol="X", spot=100.0, quotes=(live, expired))
     vol = VolEstimate.from_daily("realized", 0.2 / math.sqrt(365.0), 252, qd)
-    surface = build_surface(chain, spot=100.0, rate=0.02, vol=vol)
+    surface = build_surface(chain, rate=0.02, vol=vol)
     assert len(surface) == 1
     assert len(surface.failures) == 1
     assert "identifiable" in surface.failures[0]
@@ -143,7 +175,7 @@ def test_surface_recovers_generator_profile():
     grid = np.round(np.linspace(0.60, 1.30, 15), 4)
     chain = synthetic_chain(spot, rate, sigma, P_STAR, grid, expiries, qd)
     vol = VolEstimate.from_daily("realized", sigma / math.sqrt(365.0), 252, qd)
-    surface = build_surface(chain, spot=spot, rate=rate, vol=vol)
+    surface = build_surface(chain, rate=rate, vol=vol)
     assert len(surface) == len(chain.quotes)
     assert not surface.failures
     for pt in surface.points:
@@ -158,7 +190,7 @@ def test_surface_single_quote():
     qd = date(2015, 1, 2)
     chain = synthetic_chain(100.0, 0.02, 0.2, lambda m: 0.0, [1.0], [date(2015, 4, 2)], qd)
     vol = VolEstimate.from_daily("historical", 0.2 / math.sqrt(365.0), 252, qd)
-    surface = build_surface(chain, spot=100.0, rate=0.02, vol=vol)
+    surface = build_surface(chain, rate=0.02, vol=vol)
     assert len(surface) == 1
 
 
@@ -168,7 +200,7 @@ def test_surface_moneyness_nondecreasing_with_increasing_generator():
     grid = np.linspace(0.7, 1.25, 12)
     chain = synthetic_chain(spot, rate, sigma, P_STAR, grid, [date(2015, 5, 1)], qd)
     vol = VolEstimate.from_daily("realized", sigma / math.sqrt(365.0), 252, qd)
-    surface = build_surface(chain, spot=spot, rate=rate, vol=vol)
+    surface = build_surface(chain, rate=rate, vol=vol)
     by_m = sorted(surface.points, key=lambda pt: pt.moneyness)
     ps = [pt.p for pt in by_m]
     assert all(b >= a - 1e-9 for a, b in zip(ps, ps[1:]))
@@ -179,8 +211,8 @@ def test_surface_determinism():
     chain = synthetic_chain(100.0, 0.02, 0.2, P_STAR, np.linspace(0.7, 1.3, 8),
                             [date(2015, 4, 2)], qd)
     vol = VolEstimate.from_daily("realized", 0.2 / math.sqrt(365.0), 252, qd)
-    a = build_surface(chain, spot=100.0, rate=0.02, vol=vol)
-    b = build_surface(chain, spot=100.0, rate=0.02, vol=vol)
+    a = build_surface(chain, rate=0.02, vol=vol)
+    b = build_surface(chain, rate=0.02, vol=vol)
     assert a == b
 
 
@@ -193,7 +225,7 @@ def test_surface_records_failures_not_fatal():
                         right="call", bid=0.0, ask=0.0)
     chain = OptionChain(quote_date=qd, symbol="X", spot=100.0, quotes=(good, stale))
     vol = VolEstimate.from_daily("realized", 0.2 / math.sqrt(365.0), 252, qd)
-    surface = build_surface(chain, spot=100.0, rate=0.02, vol=vol)
+    surface = build_surface(chain, rate=0.02, vol=vol)
     assert len(surface) == 1
     assert len(surface.failures) == 1
     assert "non-positive mid" in surface.failures[0]
@@ -206,7 +238,7 @@ def test_surface_requires_calls():
     chain = OptionChain(quote_date=qd, symbol="X", spot=100.0, quotes=(put,))
     vol = VolEstimate.from_daily("realized", 0.01, 252, qd)
     with pytest.raises(InputError):
-        build_surface(chain, spot=100.0, rate=0.02, vol=vol)
+        build_surface(chain, rate=0.02, vol=vol)
 
 
 # ------------------------------------------------------------------- diff
@@ -215,7 +247,7 @@ def make_surface(sigma, qd=date(2015, 1, 2), method="realized"):
     chain = synthetic_chain(100.0, 0.02, sigma, P_STAR, np.linspace(0.8, 1.2, 9),
                             [date(2015, 4, 2)], qd)
     vol = VolEstimate.from_daily(method, sigma / math.sqrt(365.0), 252, qd)
-    return build_surface(chain, spot=100.0, rate=0.02, vol=vol)
+    return build_surface(chain, rate=0.02, vol=vol)
 
 
 def test_diff_with_itself_is_zero():
@@ -232,8 +264,8 @@ def test_diff_sign_matches_direct_recomputation():
     sigma_lo, sigma_hi = 0.18, 0.24
     chain = synthetic_chain(spot, rate, sigma_lo, P_STAR, np.linspace(0.85, 1.1, 7),
                             [expiry], qd)
-    lo = build_surface(chain, spot, rate, VolEstimate.from_daily("realized", sigma_lo / math.sqrt(365.0), 252, qd))
-    hi = build_surface(chain, spot, rate, VolEstimate.from_daily("vix", sigma_hi / math.sqrt(365.0), None, qd))
+    lo = build_surface(chain, rate, VolEstimate.from_daily("realized", sigma_lo / math.sqrt(365.0), 252, qd))
+    hi = build_surface(chain, rate, VolEstimate.from_daily("vix", sigma_hi / math.sqrt(365.0), None, qd))
     diff = surface_diff(lo, hi)
     assert diff.base_method == "realized"
     assert diff.other_method == "vix"
@@ -255,8 +287,8 @@ def test_diff_requires_overlap():
     c1 = synthetic_chain(100.0, 0.02, 0.2, P_STAR, [0.9], [date(2015, 4, 2)], qd)
     c2 = synthetic_chain(100.0, 0.02, 0.2, P_STAR, [1.1], [date(2015, 4, 2)], qd)
     vol = VolEstimate.from_daily("realized", 0.2 / math.sqrt(365.0), 252, qd)
-    s1 = build_surface(c1, 100.0, 0.02, vol)
-    s2 = build_surface(c2, 100.0, 0.02, vol)
+    s1 = build_surface(c1, 0.02, vol)
+    s2 = build_surface(c2, 0.02, vol)
     with pytest.raises(InputError):
         surface_diff(s1, s2)
 

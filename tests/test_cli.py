@@ -70,6 +70,16 @@ def test_price_market_constants_accepted(capsys):
     assert json.loads(out)["price"] == pytest.approx(10.08980049744406, rel=1e-12)
 
 
+def test_method_choices_are_vol_methods():
+    from predbs.cli import build_parser
+    from predbs.volatility import VOL_METHODS
+
+    subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for name in ("vol", "surface"):
+        method = next(a for a in subs[name]._actions if a.dest == "method")
+        assert tuple(method.choices) == VOL_METHODS
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(PRICE_ARGS + ["--bogus", "1"])

@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 from datetime import date
@@ -9,7 +10,6 @@ from predbs.calibration import CalibrationPoint, ClampStatus, PredictabilitySurf
 from predbs.data_io import (
     OptionChain,
     OptionQuote,
-    MarketConfig,
     parse_option_chain,
     parse_return_series,
     read_surface,
@@ -101,8 +101,11 @@ def test_parse_chain_missing_file():
 
 def test_parse_chain_bytes_stream():
     text = chain_text(["2015-01-02,2015-03-20,200,call,10.0,10.5"])
-    chain = parse_option_chain(io.BytesIO(text.encode()), spot=206.38)
+    stream = io.BytesIO(text.encode())
+    chain = parse_option_chain(stream, spot=206.38)
     assert len(chain) == 1
+    gc.collect()
+    assert not stream.closed  # the caller's stream is left open
 
 
 def test_parse_chain_crlf():
@@ -119,14 +122,6 @@ def test_option_quote_validation():
         OptionQuote(qd, ed, strike=100.0, right="straddle", bid=1.0, ask=2.0)
     with pytest.raises(InputError):
         OptionQuote(qd, date(2014, 12, 31), strike=100.0, right="call", bid=1.0, ask=2.0)
-
-
-def test_market_config_validation():
-    assert MarketConfig(risk_free_rate=0.0212).vol_method == "realized"
-    with pytest.raises(InputError):
-        MarketConfig(risk_free_rate=float("nan"))
-    with pytest.raises(InputError):
-        MarketConfig(risk_free_rate=0.02, vol_method="psychic")
 
 
 # ------------------------------------------------------------ return series

@@ -211,6 +211,19 @@ def test_parity_residual_grid():
         assert abs(residual) <= 1e-12 * max(1.0, inputs.spot)
 
 
+@pytest.mark.parametrize("price_fn, inputs", [
+    # S e^{-q tau} Phi(d+) - K e^{-r tau} Phi(d-) cancels to -4.2e-322 deep out of the money
+    (call_price, PricingInputs(spot=170.32048160633659, strike=243.8103773750866, tau=0.017463607167431644,
+                               rate=0.03771460449368794, sigma=0.07072461086156555, p=-0.35852341417682143)),
+    # the put's two terms cancel to -1.92e-321
+    (put_price, PricingInputs(spot=688.7506380779761, strike=443.3638180373508, tau=0.018895054384523668,
+                              rate=0.0502890472754307, sigma=0.08365187759157608, p=0.004320426004173372)),
+])
+def test_price_floored_at_zero(price_fn, inputs):
+    price = price_fn(inputs).price
+    assert price == 0.0 and math.copysign(1.0, price) == 1.0
+
+
 # ------------------------------------------------------------- dC/dp
 
 def test_dprice_dp_zero_sigma():

@@ -293,9 +293,8 @@ def test_mc_call_monotone_in_p():
 
 
 def test_mc_call_input_validation():
-    with pytest.raises(InputError):
-        mc_risk_neutral_call(s0=100, strike=100, tau=1.0, rate=0.05, sigma=0.2,
-                             p=2.0, paths=10, seed=1)
-    with pytest.raises(InputError):
-        mc_risk_neutral_call(s0=float("nan"), strike=100, tau=1.0, rate=0.05,
-                             sigma=0.2, p=0.0, paths=10, seed=1)
+    kw = dict(s0=100, strike=100, tau=1.0, rate=0.05, sigma=0.2, p=0.0, paths=10, seed=1)
+    for bad in (dict(p=2.0), dict(s0=float("nan")), dict(rate=float("inf")), dict(s0=-1.0),
+                dict(strike=0.0), dict(tau=0.0), dict(tau=-1.0), dict(sigma=-0.1), dict(paths=0)):
+        with pytest.raises(InputError):
+            mc_risk_neutral_call(**{**kw, **bad})

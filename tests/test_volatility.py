@@ -7,6 +7,7 @@ import pytest
 from predbs.errors import EstimationError, InputError
 from predbs.volatility import (
     DAYS_PER_YEAR,
+    VOL_METHODS,
     GarchParams,
     ReturnSeries,
     VolEstimate,
@@ -119,6 +120,13 @@ def test_vol_estimate_rejects_inconsistent_pair():
         VolEstimate(method="vix", sigma_daily=0.01, sigma_annual=0.5)
     with pytest.raises(InputError):
         VolEstimate.from_daily("wat", 0.01)
+
+
+def test_vol_estimate_rejects_unknown_method():
+    for method in VOL_METHODS:
+        assert VolEstimate.from_daily(method, 0.01).method == method
+    with pytest.raises(InputError, match="unknown method"):
+        VolEstimate.from_daily("psychic", 0.01)
 
 
 # ------------------------------------------------------------------ GARCH
