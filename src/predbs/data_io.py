@@ -123,11 +123,13 @@ def _read_csv(source: Source, what: str) -> tuple[list[str], list[tuple[int, lis
     return [h.strip().lstrip("\ufeff") for h in header], rows
 
 
-def _column_index(header: list[str], expected: list[str], what: str) -> dict[str, int]:
+def _column_index(header: list[str], expected: list[str], what: str) -> tuple[dict[str, int], int]:
+    """Column position of each expected name, and the row length that reaches all of them."""
     missing = [col for col in expected if col not in header]
     if missing:
         raise ParseError(f"{what}: header {header} lacks required columns {missing}")
-    return {col: header.index(col) for col in expected}
+    idx = {col: header.index(col) for col in expected}
+    return idx, max(idx.values()) + 1
 
 
 def _parse_date(text: str, what: str, line_no: int) -> date:
@@ -155,14 +157,14 @@ def parse_option_chain(source: Source, spot: float, symbol: str = "SPY") -> Opti
     """
     what = "option chain"
     header, rows = _read_csv(source, what)
-    idx = _column_index(header, CHAIN_HEADER, what)
+    idx, width = _column_index(header, CHAIN_HEADER, what)
     quotes: list[OptionQuote] = []
     skipped: list[str] = []
     chain_date: Optional[date] = None
     for line_no, row in rows:
         try:
-            if len(row) < len(CHAIN_HEADER):
-                raise ParseError(f"{what} line {line_no}: expected {len(CHAIN_HEADER)} fields, got {len(row)}")
+            if len(row) < width:
+                raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")
             qd = _parse_date(row[idx["quote_date"]], what, line_no)
             expiry = _parse_date(row[idx["expiry"]], what, line_no)
             right = row[idx["right"]].strip().lower()
@@ -270,14 +272,14 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
     """Read back a surface written by write_surface; unknown extra columns are ignored."""
     what = "surface"
     header, rows = _read_csv(path, what)
-    idx = _column_index(header, SURFACE_HEADER, what)
+    idx, width = _column_index(header, SURFACE_HEADER, what)
     extra = [col for col in header if col not in SURFACE_HEADER]
     if extra:
         warnings.warn(f"{what} {path}: ignoring unknown columns {extra}", stacklevel=2)
     points: list[CalibrationPoint] = []
     for line_no, row in rows:
-        if len(row) < len(SURFACE_HEADER):
-            raise ParseError(f"{what} line {line_no}: expected {len(SURFACE_HEADER)} fields, got {len(row)}")
+        if len(row) < width:
+            raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")
         flag_text = row[idx["clamped"]].strip()
         try:
             flag = ClampStatus(flag_text)

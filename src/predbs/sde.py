@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .pricing import PricingInputs
+from .pricing import PricingInputs, call_price
 
 __all__ = [
     "BrownianPath",
@@ -299,15 +299,15 @@ def mc_risk_neutral_call(
     continuous dividend yield.  Terminal prices are sampled exactly (one normal
     per path), so the estimate carries statistical error only.
     """
-    q = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p).dividend_yield
+    inputs = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p)
     if tau <= 0:
         raise InputError("tau must be > 0")
     if paths < 1:
         raise InputError("paths must be >= 1")
+    if sigma == 0.0:  # no diffusion: the closed form's deterministic branch is exact
+        return McCallEstimate(price=call_price(inputs).price, std_error=0.0, paths=paths, seed=seed)
+    q = inputs.dividend_yield
     disc = math.exp(-rate * tau)
-    if sigma == 0.0:
-        price = disc * max(s0 * math.exp((rate - q) * tau) - strike, 0.0)
-        return McCallEstimate(price=price, std_error=0.0, paths=paths, seed=seed)
     z = _philox(seed).standard_normal(paths)
     st = s0 * np.exp((rate - q - 0.5 * sigma * sigma) * tau + sigma * math.sqrt(tau) * z)
     payoff = np.maximum(st - strike, 0.0)

@@ -15,14 +15,13 @@ calendar-day convention sigma_annual = sigma_daily * sqrt(365).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
-from scipy.special import gammaln
+from scipy.optimize import LinearConstraint, minimize
+from scipy.special import digamma, gammaln
 
 from .errors import EstimationError, InputError
 
@@ -168,6 +167,8 @@ def _sigma2_recursion(eps2: np.ndarray, omega: float, a1: float, b1: float, s2_i
     """sigma^2_t = omega + a1 eps^2_{t-1} + b1 sigma^2_{t-1}, seeded with s2_init at t=0."""
     if eps2.size == 0:
         return np.empty(0)
+    from scipy.signal import lfilter  # deferred: scipy.signal is slow to import
+
     x = omega + a1 * eps2[:-1]
     y, _ = lfilter([1.0], [1.0, -b1], x, zi=np.array([b1 * s2_init]))
     return np.concatenate([[s2_init], y])
@@ -176,28 +177,57 @@ def _sigma2_recursion(eps2: np.ndarray, omega: float, a1: float, b1: float, s2_i
 _PENALTY = 1e10
 
 
-def _neg_loglik(params: np.ndarray, r: np.ndarray) -> float:
+def _neg_loglik(params: np.ndarray, r: np.ndarray, jac: bool = False):
+    """Negative log-likelihood of the returns `r`; with `jac`, also its exact gradient.
+
+    Outside the admissible region the value is _PENALTY (gradient zero).  The
+    gradient is taken by the adjoint of the sigma^2 recursion: g_t, the total
+    derivative of the log-likelihood in sigma^2_t, obeys the same filter run
+    backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.
+    """
     mu0, phi, omega, a1, b1, nu = params
+    penalty = (_PENALTY, np.zeros(6)) if jac else _PENALTY
     if not np.all(np.isfinite(params)):
-        return _PENALTY
+        return penalty
     if omega <= 0 or a1 < 0 or b1 < 0 or a1 + b1 >= 0.999999 or nu <= 2.05 or abs(phi) >= 1:
-        return _PENALTY
+        return penalty
     eps = r[1:] - mu0 - phi * r[:-1]
     eps2 = eps * eps
     s2_init = float(np.mean(eps2))
     if s2_init <= 0:
-        return _PENALTY
+        return penalty
     s2 = _sigma2_recursion(eps2, omega, a1, b1, s2_init)
     if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
-        return _PENALTY
+        return penalty
     const = gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * math.log(math.pi * (nu - 2))
-    ll = np.sum(const - 0.5 * np.log(s2) - 0.5 * (nu + 1) * np.log1p(eps2 / (s2 * (nu - 2))))
+    u = eps2 / (s2 * (nu - 2))
+    log1p_u = np.log1p(u)
+    ll = np.sum(const - 0.5 * np.log(s2) - 0.5 * (nu + 1) * log1p_u)
     if not math.isfinite(ll):
-        return _PENALTY
-    return -ll
+        return penalty
+    if not jac:
+        return -ll
+    from scipy.signal import lfilter
+
+    w = (nu + 1) * u / (1.0 + u)
+    g = lfilter([1.0], [1.0, -b1], (0.5 * (w - 1.0) / s2)[::-1])[::-1]
+    # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t,
+    # and s2_init = mean(eps^2)
+    e = -(nu + 1) * eps / (s2 * (nu - 2) + eps2) + (2.0 * g[0] / eps.size) * eps
+    e[:-1] += 2.0 * a1 * eps[:-1] * g[1:]
+    dconst = 0.5 * (digamma((nu + 1) / 2) - digamma(nu / 2) - 1.0 / (nu - 2))
+    grad = np.array([
+        -np.sum(e),
+        -np.dot(e, r[:-1]),
+        np.sum(g[1:]),
+        np.dot(eps2[:-1], g[1:]),
+        np.dot(s2[:-1], g[1:]),
+        eps.size * dconst + np.sum(0.5 * w / (nu - 2) - 0.5 * log1p_u),
+    ])
+    return -ll, -grad
 
 
-_RETURN_SCALE = 100.0  # optimize on percent returns so all parameters are O(1)
+_RETURN_SCALE = 100.0  # garch_log_likelihood evaluates on percent returns
 
 
 def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
@@ -211,55 +241,62 @@ def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
     return starts
 
 
-def fit_ar_garch(series: ReturnSeries) -> GarchParams:
-    """Maximize the Student-t conditional log-likelihood by multi-start Nelder-Mead.
+# Feasible set of the gradient fit on (mu0, phi, omega, a1, b1, nu): just inside
+# the region where _neg_loglik is not the penalty, whose edges are strict
+# (nu > 2.05, a1 + b1 < 0.999999).  nu has no upper bound: near-Gaussian data
+# put the optimum at nu in the millions.
+_BOUNDS = [(None, None), (-0.999999, 0.999999), (1e-12, None), (0.0, 1.0), (0.0, 1.0), (2.05 + 1e-9, None)]
+_STATIONARITY = LinearConstraint([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]], -np.inf, 0.999999 - 1e-9)
 
-    Each start is iterated (simplex restarts from its own optimum) until the
-    likelihood stops improving; the best stationarity-satisfying optimum wins,
-    ties broken by lowest start index.
+
+def fit_ar_garch(series: ReturnSeries) -> GarchParams:
+    """Maximize the Student-t conditional log-likelihood by multi-start SLSQP.
+
+    Each start runs SLSQP with the analytic gradient of the likelihood (see
+    _neg_loglik) under box bounds and the linear constraint alpha1 + beta1 < 1,
+    on returns standardized to unit variance so that every parameter is O(1)
+    whatever the scale of the series.  The best stationarity-satisfying optimum
+    wins, ties broken by lowest start index; its reported log-likelihood is
+    garch_log_likelihood at the returned parameters.
     """
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
     r = series.returns * _RETURN_SCALE
     # variance floor on percent-scale returns; exactly-constant series leave
     # rounding dust of order 1e-35 in np.var, far below any real return series
-    if float(np.var(r)) < 1e-16:
+    var = float(np.var(r))
+    if var < 1e-16:
         raise EstimationError("degenerate likelihood: series variance is (numerically) zero")
+    sd = math.sqrt(var)
+    z = r / sd
 
-    best_fun, best_x, converged = math.inf, None, False
-    for x0 in _starting_points(r):
-        x, fun = x0, math.inf
-        ok = False
-        for _ in range(6):
-            res = minimize(
-                _neg_loglik, x, args=(r,), method="Nelder-Mead",
-                options=dict(maxiter=3000, maxfev=3000, xatol=1e-6, fatol=1e-8, adaptive=True),
-            )
-            if res.fun >= _PENALTY:
-                break
-            improved = fun - res.fun
-            x, fun, ok = res.x, float(res.fun), True
-            if improved < 1e-7:
-                break
-        if ok and fun < best_fun:
-            best_fun, best_x, converged = fun, x, True
+    best_fun, best_x = math.inf, None
+    for x0 in _starting_points(z):
+        res = minimize(
+            _neg_loglik, x0, args=(z, True), jac=True, method="SLSQP",
+            bounds=_BOUNDS, constraints=[_STATIONARITY], options=dict(maxiter=500, ftol=1e-12),
+        )
+        fun = float(res.fun)
+        if fun < _PENALTY and fun < best_fun:
+            best_fun, best_x = fun, res.x
 
-    if not converged or best_x is None:
+    if best_x is None:
         raise EstimationError("all optimizer starts failed", best=None)
 
+    best_x = best_x * np.array([sd, 1.0, var, 1.0, 1.0, 1.0])  # back to percent returns
     mu0, phi, omega, a1, b1, nu = best_x
     try:
-        return GarchParams(
+        params = GarchParams(
             ar1=float(phi),
             mean=float(mu0 / _RETURN_SCALE),
             omega=float(omega / _RETURN_SCALE**2),
             alpha1=float(a1),
             beta1=float(b1),
             nu=float(nu),
-            log_likelihood=-best_fun + (len(series) - 1) * math.log(_RETURN_SCALE),
         )
     except InputError as exc:
         raise EstimationError(f"best optimum violates constraints: {exc}", best=best_x) from exc
+    return replace(params, log_likelihood=garch_log_likelihood(params, series))
 
 
 def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
@@ -269,7 +306,7 @@ def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
         params.omega * _RETURN_SCALE**2, params.alpha1, params.beta1, params.nu,
     ])
     nll = _neg_loglik(x, series.returns * _RETURN_SCALE)
-    return -nll + (len(series) - 1) * math.log(_RETURN_SCALE)
+    return float(-nll + (len(series) - 1) * math.log(_RETURN_SCALE))
 
 
 def _filtered_sigma2(params: GarchParams, returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

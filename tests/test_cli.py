@@ -315,3 +315,13 @@ def test_cli_byte_identical_runs(fixtures_dir, tmp_path):
         out.with_suffix(".json").unlink()
     assert stdouts[0] == stdouts[1]
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------- imports
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal (and the scipy.stats it pulls in) costs about a second to
+    # import; only the GARCH filter needs it, so it is imported where used
+    probe = "import sys, predbs.cli; print('scipy.signal' in sys.modules, 'scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
+    assert proc.stdout.split() == ["False", "False"]

@@ -114,6 +114,18 @@ def test_parse_chain_crlf():
     assert len(chain) == 1
 
 
+def test_parse_chain_skips_row_short_of_a_later_column():
+    # the required columns sit after an extra one, so a row one field short of
+    # the header misses `ask` although it has as many fields as there are
+    # required columns
+    text = ("note,quote_date,expiry,strike,right,bid,ask\n"
+            "x,2015-01-02,2015-03-20,200,call,10.0,10.5\n"
+            "x,2015-01-02,2015-03-20,200,call,10.0\n")
+    chain = parse_option_chain(io.StringIO(text), spot=100)
+    assert len(chain) == 1
+    assert chain.skipped == ("option chain line 3: expected 7 fields, got 6",)
+
+
 def test_option_quote_validation():
     qd, ed = date(2015, 1, 2), date(2015, 3, 20)
     with pytest.raises(InputError):
@@ -224,6 +236,21 @@ def test_surface_read_ignores_extra_column_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="ignoring unknown columns"):
         back = read_surface(out)
     assert back == surface
+
+
+def test_surface_read_rejects_row_short_of_a_later_column(tmp_path):
+    rng = np.random.default_rng(37)
+    surface = random_surface(rng, n=2)
+    out = tmp_path / "surface.csv"
+    write_surface(surface, out)
+    lines = out.read_text().splitlines()
+    lines[0] = "note," + lines[0]
+    body = ["x," + line for line in lines[1:]]
+    body[1] = body[1].rsplit(",", 1)[0]  # drop the residual
+    out.write_text("\n".join([lines[0]] + body) + "\n")
+    with pytest.warns(UserWarning, match="ignoring unknown columns"):
+        with pytest.raises(ParseError, match="line 3: expected 8 fields, got 7"):
+            read_surface(out)
 
 
 def test_surface_read_requires_sidecar(tmp_path):

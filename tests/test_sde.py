@@ -284,6 +284,19 @@ def test_mc_call_zero_sigma_exact():
     assert est.std_error == 0.0
 
 
+def test_mc_call_zero_sigma_is_closed_form_bitwise():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        s0, strike, tau, rate, p = (rng.uniform(10, 1000, size=2).tolist()
+                                    + [rng.uniform(0.01, 2), rng.uniform(-0.01, 0.1), rng.uniform(-1, 1)])
+        est = mc_risk_neutral_call(s0=s0, strike=strike, tau=tau, rate=rate, sigma=0.0,
+                                   p=p, paths=10, seed=1)
+        exact = call_price(PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate,
+                                         sigma=0.0, p=p)).price
+        assert est.price == exact and math.copysign(1.0, est.price) == 1.0
+        assert est.std_error == 0.0
+
+
 def test_mc_call_monotone_in_p():
     lo = mc_risk_neutral_call(s0=100, strike=100, tau=1.0, rate=0.05, sigma=0.2,
                               p=1.0, paths=20_000, seed=9)

@@ -1,5 +1,6 @@
 import math
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from predbs.volatility import (
     VolEstimate,
     fit_ar_garch,
     garch_forecast_vol,
+    garch_log_likelihood,
     historical_vol,
     realized_vol,
     simulate_ar_garch,
@@ -184,6 +186,54 @@ def test_garch_fit_beats_every_start():
     best_nll = _neg_loglik(fitted_scaled, r_scaled)
     for start in _starting_points(r_scaled):
         assert best_nll <= _neg_loglik(start, r_scaled) + 1e-9
+
+
+@pytest.mark.parametrize("x", [
+    [0.03, 0.0, 0.02, 0.08, 0.90, 6.0],         # interior
+    [0.03, 0.0, 0.002, 0.10, 0.89999, 6.0],     # alpha1 + beta1 -> 1
+    [0.03, 0.0, 0.05, 0.10, 0.85, 2.0501],      # nu near its 2.05 edge
+    [-0.02, 0.35, 0.03, 0.12, 0.80, 9.0],       # phi != 0
+])
+def test_neg_loglik_gradient_matches_central_difference(x):
+    r = simulate_ar_garch(GarchParams(ar1=0.1, mean=2e-4, omega=2e-6, alpha1=0.08, beta1=0.9, nu=5.0),
+                          n=1_500, seed=21).returns * _RETURN_SCALE
+    x = np.array(x)
+    value, grad = _neg_loglik(x, r, jac=True)
+    assert value == _neg_loglik(x, r)
+    for k in range(6):
+        # 5-point stencil, step small enough to stay inside the admissible region
+        h = 1e-6 * max(abs(x[k]), 1e-2)
+        f = [_neg_loglik(x + j * h * np.eye(6)[k], r) for j in (-2, -1, 1, 2)]
+        fd = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
+        assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-6 * np.max(np.abs(grad))), k
+
+
+def test_neg_loglik_gradient_is_zero_at_penalty():
+    r = simulate_ar_garch(TRUE_PARAMS, n=300, seed=4).returns * _RETURN_SCALE
+    value, grad = _neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 6.0]), r, jac=True)
+    assert value == _neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 6.0]), r) == 1e10
+    assert not np.any(grad)
+
+
+def test_garch_fit_reaches_the_golden_optimum():
+    # 998.0990969349358 is the multi-start Nelder-Mead optimum on this series
+    from predbs.data_io import parse_return_series
+
+    series = parse_return_series(Path(__file__).parent / "fixtures" / "golden" / "returns.csv")
+    fitted = fit_ar_garch(series)
+    assert fitted.log_likelihood >= 998.0990969349358 - 1e-6
+    assert fitted.log_likelihood == garch_log_likelihood(fitted, series)
+
+
+def test_garch_fit_is_equivariant_in_return_scale():
+    series = simulate_ar_garch(TRUE_PARAMS, n=1_000, seed=6)
+    base = fit_ar_garch(series)
+    for c in (1e-3, 30.0):
+        scaled = fit_ar_garch(make_series(series.returns * c))
+        assert scaled.log_likelihood == pytest.approx(base.log_likelihood - 999 * math.log(c), abs=1e-6)
+        for name in ("ar1", "alpha1", "beta1", "nu"):
+            assert getattr(scaled, name) == pytest.approx(getattr(base, name), rel=1e-3), (c, name)
+        assert scaled.omega == pytest.approx(base.omega * c * c, rel=1e-3)
 
 
 def test_garch_gaussian_like_data():
