@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--returns", default=None)
     sp.add_argument("--window", type=int, default=252)
     sp.add_argument("--vix", type=float, default=None)
-    sp.add_argument("--symbol", default="SPY")
     _add_common(sp)
     sp.set_defaults(func=cmd_surface)
 
@@ -230,7 +229,7 @@ def cmd_surface(args) -> int:
     if not args.out:
         raise PredbsError("surface requires --out for the surface CSV")
     est = _vol_estimate(args.method, args.returns, args.window, args.vix)
-    chain = data_io.parse_option_chain(args.chain, spot=args.spot, symbol=args.symbol)
+    chain = data_io.parse_option_chain(args.chain, spot=args.spot)
     for note in chain.skipped:
         print(f"skipped: {note}", file=sys.stderr)
     surface = calibration.build_surface(chain, rate=args.rate, vol=est)

@@ -72,7 +72,6 @@ class OptionQuote:
 @dataclass(frozen=True)
 class OptionChain:
     quote_date: date
-    symbol: str
     spot: float
     quotes: tuple[OptionQuote, ...]
     skipped: tuple[str, ...] = ()
@@ -147,7 +146,7 @@ def _parse_float(text: str, what: str, line_no: int) -> float:
     return value
 
 
-def parse_option_chain(source: Source, spot: float, symbol: str = "SPY") -> OptionChain:
+def parse_option_chain(source: Source, spot: float) -> OptionChain:
     """Parse a chain CSV with header quote_date,expiry,strike,right,bid,ask.
 
     Spot is supplied by the caller: chain files carry quotes only.  Rows that
@@ -193,8 +192,7 @@ def parse_option_chain(source: Source, spot: float, symbol: str = "SPY") -> Opti
             f"{what}: {len(skipped)} of {len(rows)} rows rejected; first: {skipped[0]}"
         )
     try:
-        return OptionChain(quote_date=chain_date, symbol=symbol, spot=spot,
-                           quotes=tuple(quotes), skipped=tuple(skipped))
+        return OptionChain(quote_date=chain_date, spot=spot, quotes=tuple(quotes), skipped=tuple(skipped))
     except InputError as exc:
         raise ParseError(f"{what}: {exc}") from exc
 

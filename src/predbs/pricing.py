@@ -39,8 +39,8 @@ def dividend_yield_due_to_predictability(p: float, sigma: float) -> float:
     """Continuous yield q = p * sigma^2 induced by excess predictability p."""
     if not -1.0 <= p <= 1.0:
         raise InputError(f"p must be in [-1, 1], got {p}")
-    if sigma < 0:
-        raise InputError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise InputError(f"sigma must be finite and >= 0, got {sigma}")
     return p * sigma * sigma
 
 

@@ -172,16 +172,14 @@ def _check_grids(theta: IntegrandPath, b: BrownianPath) -> None:
 
 def ito_integral(theta: IntegrandPath, b: BrownianPath) -> float:
     """Left-point stochastic integral sum_j theta(t_j) * dB_j (does not look ahead)."""
-    _check_grids(theta, b)
-    db = np.diff(b.values)
-    return float(np.sum(theta.values[:-1] * db))
+    return stratonovich_alpha_integral(theta, b, 0.0)
 
 
 def stratonovich_alpha_integral(theta: IntegrandPath, b: BrownianPath, alpha: float) -> float:
     """Offset-point integral sum_j theta(t_j (1-alpha) + alpha t_{j+1}) * dB_j.
 
-    alpha = 0 reproduces `ito_integral` exactly (same grid values); alpha = 1/2
-    reproduces `stratonovich_half_integral`.
+    alpha = 0 is `ito_integral` (the grid values themselves); alpha = 1/2 is
+    `stratonovich_half_integral`.
     """
     _check_grids(theta, b)
     if not 0.0 <= alpha <= 1.0:

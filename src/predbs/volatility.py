@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import LinearConstraint, minimize
-from scipy.special import digamma, gammaln
+from scipy.special import betaln, digamma
 
 from .errors import EstimationError, InputError
 
@@ -138,6 +138,12 @@ def vix_to_sigma(vix_quote: float, as_of: Optional[date] = None) -> VolEstimate:
 #   z_t ~ t(nu) scaled to unit variance (nu > 2)
 # --------------------------------------------------------------------------
 
+def _admissible(omega: float, alpha1: float, beta1: float, nu: float) -> bool:
+    """The model's parameter region: omega > 0, alpha1, beta1 >= 0, alpha1 + beta1 < 1
+    (covariance stationarity) and nu > 2 (finite variance); False for NaN."""
+    return omega > 0 and alpha1 >= 0 and beta1 >= 0 and alpha1 + beta1 < 1 and nu > 2
+
+
 @dataclass(frozen=True)
 class GarchParams:
     ar1: float
@@ -149,29 +155,33 @@ class GarchParams:
     log_likelihood: float = math.nan
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise InputError("omega must be > 0")
-        if self.alpha1 < 0 or self.beta1 < 0:
-            raise InputError("alpha1 and beta1 must be >= 0")
-        if self.alpha1 + self.beta1 >= 1.0:
-            raise InputError("alpha1 + beta1 must be < 1 (covariance stationarity)")
-        if self.nu <= 2.0:
-            raise InputError("nu must be > 2 (finite variance)")
+        if not _admissible(self.omega, self.alpha1, self.beta1, self.nu):
+            raise InputError("GARCH parameters need omega > 0, alpha1 and beta1 >= 0, "
+                             "alpha1 + beta1 < 1 (covariance stationarity) and nu > 2 (finite variance)")
 
     @property
     def unconditional_variance(self) -> float:
         return self.omega / (1.0 - self.alpha1 - self.beta1)
 
+    def _vector(self) -> np.ndarray:
+        return np.array([self.mean, self.ar1, self.omega, self.alpha1, self.beta1, self.nu])
 
-def _sigma2_recursion(eps2: np.ndarray, omega: float, a1: float, b1: float, s2_init: float) -> np.ndarray:
-    """sigma^2_t = omega + a1 eps^2_{t-1} + b1 sigma^2_{t-1}, seeded with s2_init at t=0."""
-    if eps2.size == 0:
-        return np.empty(0)
+
+def _filter(x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, nu).
+
+    eps_t = r_t - mu0 - phi r_{t-1}; sigma^2_1 = mean(eps^2) and
+    sigma^2_{t+1} = omega + a1 eps^2_t + b1 sigma^2_t, so the last entry is the
+    one-step-ahead forecast.
+    """
     from scipy.signal import lfilter  # deferred: scipy.signal is slow to import
 
-    x = omega + a1 * eps2[:-1]
-    y, _ = lfilter([1.0], [1.0, -b1], x, zi=np.array([b1 * s2_init]))
-    return np.concatenate([[s2_init], y])
+    mu0, phi, omega, a1, b1 = x[:5]
+    eps = r[1:] - mu0 - phi * r[:-1]
+    eps2 = eps * eps
+    s2_init = float(np.mean(eps2))
+    y, _ = lfilter([1.0], [1.0, -b1], omega + a1 * eps2, zi=np.array([b1 * s2_init]))
+    return eps, eps2, np.concatenate([[s2_init], y])
 
 
 _PENALTY = 1e10
@@ -180,26 +190,24 @@ _PENALTY = 1e10
 def _neg_loglik(params: np.ndarray, r: np.ndarray, jac: bool = False):
     """Negative log-likelihood of the returns `r`; with `jac`, also its exact gradient.
 
-    Outside the admissible region the value is _PENALTY (gradient zero).  The
+    The value is _PENALTY (gradient zero) where the parameters are non-finite
+    or not _admissible, or the sigma^2 path is not finite and positive.  The
     gradient is taken by the adjoint of the sigma^2 recursion: g_t, the total
     derivative of the log-likelihood in sigma^2_t, obeys the same filter run
     backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.
     """
-    mu0, phi, omega, a1, b1, nu = params
+    x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
+    mu0, phi, omega, a1, b1, nu = x
     penalty = (_PENALTY, np.zeros(6)) if jac else _PENALTY
-    if not np.all(np.isfinite(params)):
+    if not (all(map(math.isfinite, x)) and _admissible(omega, a1, b1, nu)):
         return penalty
-    if omega <= 0 or a1 < 0 or b1 < 0 or a1 + b1 >= 0.999999 or nu <= 2.05 or abs(phi) >= 1:
-        return penalty
-    eps = r[1:] - mu0 - phi * r[:-1]
-    eps2 = eps * eps
-    s2_init = float(np.mean(eps2))
-    if s2_init <= 0:
-        return penalty
-    s2 = _sigma2_recursion(eps2, omega, a1, b1, s2_init)
+    eps, eps2, s2 = _filter(x, r)
+    s2 = s2[:-1]
     if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
         return penalty
-    const = gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * math.log(math.pi * (nu - 2))
+    # ln Gamma((nu+1)/2) - ln Gamma(nu/2) - ln sqrt(pi (nu-2)), with ln Gamma(1/2) = ln sqrt(pi):
+    # betaln avoids the cancellation of the plain gammaln difference at large nu
+    const = -betaln(nu / 2, 0.5) - 0.5 * math.log(nu - 2)
     u = eps2 / (s2 * (nu - 2))
     log1p_u = np.log1p(u)
     ll = np.sum(const - 0.5 * np.log(s2) - 0.5 * (nu + 1) * log1p_u)
@@ -227,9 +235,6 @@ def _neg_loglik(params: np.ndarray, r: np.ndarray, jac: bool = False):
     return -ll, -grad
 
 
-_RETURN_SCALE = 100.0  # garch_log_likelihood evaluates on percent returns
-
-
 def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
     var = float(np.var(r_scaled))
     mean = float(np.mean(r_scaled))
@@ -241,10 +246,9 @@ def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
     return starts
 
 
-# Feasible set of the gradient fit on (mu0, phi, omega, a1, b1, nu): just inside
-# the region where _neg_loglik is not the penalty, whose edges are strict
-# (nu > 2.05, a1 + b1 < 0.999999).  nu has no upper bound: near-Gaussian data
-# put the optimum at nu in the millions.
+# Feasible set of the gradient fit on (mu0, phi, omega, a1, b1, nu), strictly
+# inside the _admissible region and |phi| < 1.  nu has no upper bound:
+# near-Gaussian data put the optimum at nu in the millions.
 _BOUNDS = [(None, None), (-0.999999, 0.999999), (1e-12, None), (0.0, 1.0), (0.0, 1.0), (2.05 + 1e-9, None)]
 _STATIONARITY = LinearConstraint([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]], -np.inf, 0.999999 - 1e-9)
 
@@ -253,22 +257,20 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     """Maximize the Student-t conditional log-likelihood by multi-start SLSQP.
 
     Each start runs SLSQP with the analytic gradient of the likelihood (see
-    _neg_loglik) under box bounds and the linear constraint alpha1 + beta1 < 1,
-    on returns standardized to unit variance so that every parameter is O(1)
-    whatever the scale of the series.  The best stationarity-satisfying optimum
-    wins, ties broken by lowest start index; its reported log-likelihood is
-    garch_log_likelihood at the returned parameters.
+    _neg_loglik) inside _BOUNDS and _STATIONARITY, on returns standardized to
+    unit variance so that every parameter is O(1) whatever the scale of the
+    series.  The best optimum wins, ties broken by lowest start index; its
+    reported log-likelihood is garch_log_likelihood at the returned parameters.
     """
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
-    r = series.returns * _RETURN_SCALE
-    # variance floor on percent-scale returns; exactly-constant series leave
-    # rounding dust of order 1e-35 in np.var, far below any real return series
-    var = float(np.var(r))
-    if var < 1e-16:
+    # variance floor; exactly-constant series leave rounding dust of order 1e-35
+    # in np.var, far below any real return series
+    var = float(np.var(series.returns))
+    if var < 1e-20:
         raise EstimationError("degenerate likelihood: series variance is (numerically) zero")
     sd = math.sqrt(var)
-    z = r / sd
+    z = series.returns / sd
 
     best_fun, best_x = math.inf, None
     for x0 in _starting_points(z):
@@ -283,43 +285,23 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     if best_x is None:
         raise EstimationError("all optimizer starts failed", best=None)
 
-    best_x = best_x * np.array([sd, 1.0, var, 1.0, 1.0, 1.0])  # back to percent returns
-    mu0, phi, omega, a1, b1, nu = best_x
-    try:
-        params = GarchParams(
-            ar1=float(phi),
-            mean=float(mu0 / _RETURN_SCALE),
-            omega=float(omega / _RETURN_SCALE**2),
-            alpha1=float(a1),
-            beta1=float(b1),
-            nu=float(nu),
-        )
-    except InputError as exc:
-        raise EstimationError(f"best optimum violates constraints: {exc}", best=best_x) from exc
+    mu0, phi, omega, a1, b1, nu = best_x * np.array([sd, 1.0, var, 1.0, 1.0, 1.0])  # back to returns
+    params = GarchParams(ar1=float(phi), mean=float(mu0), omega=float(omega),
+                         alpha1=float(a1), beta1=float(b1), nu=float(nu))
     return replace(params, log_likelihood=garch_log_likelihood(params, series))
 
 
 def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
-    """Student-t conditional log-likelihood of `series` under `params` (natural return scale)."""
-    x = np.array([
-        params.mean * _RETURN_SCALE, params.ar1,
-        params.omega * _RETURN_SCALE**2, params.alpha1, params.beta1, params.nu,
-    ])
-    nll = _neg_loglik(x, series.returns * _RETURN_SCALE)
-    return float(-nll + (len(series) - 1) * math.log(_RETURN_SCALE))
-
-
-def _filtered_sigma2(params: GarchParams, returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eps = returns[1:] - params.mean - params.ar1 * returns[:-1]
-    eps2 = eps * eps
-    s2 = _sigma2_recursion(eps2, params.omega, params.alpha1, params.beta1, float(np.mean(eps2)))
-    return eps2, s2
+    """Student-t conditional log-likelihood of the daily log-returns `series` under `params`."""
+    nll = _neg_loglik(params._vector(), series.returns)
+    if nll == _PENALTY:
+        raise InputError("likelihood undefined: sigma^2 path is not finite and positive for this series")
+    return float(-nll)
 
 
 def garch_forecast_vol(params: GarchParams, series: ReturnSeries) -> VolEstimate:
-    """One-step-ahead conditional sigma from the filtered recursion."""
-    eps2, s2 = _filtered_sigma2(params, series.returns)
-    s2_next = params.omega + params.alpha1 * eps2[-1] + params.beta1 * s2[-1]
+    """One-step-ahead conditional sigma: the last entry of the filtered sigma^2 path."""
+    s2_next = _filter(params._vector(), series.returns)[2][-1]
     if not math.isfinite(s2_next) or s2_next <= 0:
         raise InputError("forecast variance is not positive; params invalid for this series")
     return VolEstimate.from_daily("garch", math.sqrt(s2_next), len(series), series.as_of)

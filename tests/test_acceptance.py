@@ -193,7 +193,7 @@ def test_criterion_07_qualitative_surface_shape():
                 c = call_price(PricingInputs(spot, strike, tau, rate, sigma, p_star(float(m)))).price
                 quotes.append(OptionQuote(quote_date=quote_date, expiry_date=expiry,
                                           strike=strike, right="call", bid=c, ask=c))
-        chain = OptionChain(quote_date=quote_date, symbol="SYN", spot=spot, quotes=tuple(quotes))
+        chain = OptionChain(quote_date=quote_date, spot=spot, quotes=tuple(quotes))
         vol = VolEstimate.from_daily("realized", sigma / math.sqrt(365.0), 252, quote_date)
         surface = build_surface(chain, rate=rate, vol=vol)
         assert len(surface) == len(grid) * len(expiries)

@@ -134,7 +134,7 @@ def test_expired_quote_recorded_as_failure_not_fatal():
                        right="call", bid=9.0, ask=9.2)
     expired = OptionQuote(quote_date=qd, expiry_date=qd, strike=100.0,
                           right="call", bid=6.0, ask=6.2)
-    chain = OptionChain(quote_date=qd, symbol="X", spot=100.0, quotes=(live, expired))
+    chain = OptionChain(quote_date=qd, spot=100.0, quotes=(live, expired))
     vol = VolEstimate.from_daily("realized", 0.2 / math.sqrt(365.0), 252, qd)
     surface = build_surface(chain, rate=0.02, vol=vol)
     assert len(surface) == 1
@@ -162,7 +162,7 @@ def synthetic_chain(spot, rate, sigma, p_of_m, moneyness_grid, expiries, quote_d
                             sigma=sigma, p=p_true)
             quotes.append(OptionQuote(quote_date=quote_date, expiry_date=expiry,
                                       strike=strike, right="call", bid=c, ask=c))
-    return OptionChain(quote_date=quote_date, symbol="SYN", spot=spot, quotes=tuple(quotes))
+    return OptionChain(quote_date=quote_date, spot=spot, quotes=tuple(quotes))
 
 
 P_STAR = lambda m: max(-1.0, min(1.0, 5.0 * (m - 0.95)))
@@ -223,7 +223,7 @@ def test_surface_records_failures_not_fatal():
                        right="call", bid=9.0, ask=9.2)
     stale = OptionQuote(quote_date=qd, expiry_date=expiry, strike=120.0,
                         right="call", bid=0.0, ask=0.0)
-    chain = OptionChain(quote_date=qd, symbol="X", spot=100.0, quotes=(good, stale))
+    chain = OptionChain(quote_date=qd, spot=100.0, quotes=(good, stale))
     vol = VolEstimate.from_daily("realized", 0.2 / math.sqrt(365.0), 252, qd)
     surface = build_surface(chain, rate=0.02, vol=vol)
     assert len(surface) == 1
@@ -235,7 +235,7 @@ def test_surface_requires_calls():
     qd = date(2015, 1, 2)
     put = OptionQuote(quote_date=qd, expiry_date=date(2015, 4, 2), strike=100.0,
                       right="put", bid=5.0, ask=5.2)
-    chain = OptionChain(quote_date=qd, symbol="X", spot=100.0, quotes=(put,))
+    chain = OptionChain(quote_date=qd, spot=100.0, quotes=(put,))
     vol = VolEstimate.from_daily("realized", 0.01, 252, qd)
     with pytest.raises(InputError):
         build_surface(chain, rate=0.02, vol=vol)

@@ -73,6 +73,9 @@ def test_dividend_yield_values():
 def test_dividend_yield_rejects_out_of_range_p():
     with pytest.raises(InputError):
         dividend_yield_due_to_predictability(1.5, 0.2)
+    for p, sigma in [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.2), (math.inf, 0.2), (0.5, -0.1)]:
+        with pytest.raises(InputError):
+            dividend_yield_due_to_predictability(p, sigma)
 
 
 # ------------------------------------------------------------------ d+-

@@ -21,13 +21,18 @@ from predbs.volatility import (
     variance_risk_premium,
     vix_to_sigma,
 )
-from predbs.volatility import _neg_loglik, _sigma2_recursion, _starting_points, _RETURN_SCALE
+from predbs.volatility import _filter, _neg_loglik, _starting_points
 
 
 def make_series(returns):
     start = date(2014, 1, 6)
     dates = tuple(start + timedelta(days=i) for i in range(len(returns)))
     return ReturnSeries(dates=dates, returns=np.asarray(returns, dtype=float))
+
+
+def standardized(series):
+    """Returns scaled to unit variance, as fit_ar_garch hands them to the optimizer."""
+    return series.returns / math.sqrt(np.var(series.returns))
 
 
 # ------------------------------------------------------------ ReturnSeries
@@ -143,16 +148,19 @@ def test_garch_params_validation():
         GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.2, beta1=0.85, nu=6.0)
     with pytest.raises(InputError):
         GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=1.5)
+    with pytest.raises(InputError):
+        GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=math.nan)
 
 
 def test_sigma2_recursion_matches_naive_loop():
     rng = np.random.Generator(np.random.Philox(key=42))
-    eps2 = rng.uniform(0.5, 2.0, size=200) * 1e-4
-    omega, a1, b1, init = 1e-6, 0.08, 0.9, 5e-5
-    fast = _sigma2_recursion(eps2, omega, a1, b1, init)
-    slow = np.empty_like(eps2)
-    slow[0] = init
-    for t in range(1, eps2.size):
+    r = rng.normal(0.0, 0.01, size=201)
+    omega, a1, b1 = 1e-6, 0.08, 0.9
+    eps, eps2, fast = _filter(np.array([1e-4, 0.1, omega, a1, b1, 6.0]), r)
+    assert np.array_equal(eps, r[1:] - 1e-4 - 0.1 * r[:-1])
+    slow = np.empty(eps2.size + 1)  # sigma^2_1..sigma^2_T and the one-step forecast
+    slow[0] = np.mean(eps2)
+    for t in range(1, slow.size):
         slow[t] = omega + a1 * eps2[t - 1] + b1 * slow[t - 1]
     assert np.array_equal(fast, slow)
 
@@ -178,10 +186,10 @@ def test_garch_stored_log_likelihood_consistent():
 def test_garch_fit_beats_every_start():
     series = simulate_ar_garch(TRUE_PARAMS, n=2_000, seed=5)
     fitted = fit_ar_garch(series)
-    r_scaled = series.returns * _RETURN_SCALE
+    sd = math.sqrt(np.var(series.returns))
+    r_scaled = series.returns / sd
     fitted_scaled = np.array([
-        fitted.mean * _RETURN_SCALE, fitted.ar1,
-        fitted.omega * _RETURN_SCALE**2, fitted.alpha1, fitted.beta1, fitted.nu,
+        fitted.mean / sd, fitted.ar1, fitted.omega / sd**2, fitted.alpha1, fitted.beta1, fitted.nu,
     ])
     best_nll = _neg_loglik(fitted_scaled, r_scaled)
     for start in _starting_points(r_scaled):
@@ -191,12 +199,12 @@ def test_garch_fit_beats_every_start():
 @pytest.mark.parametrize("x", [
     [0.03, 0.0, 0.02, 0.08, 0.90, 6.0],         # interior
     [0.03, 0.0, 0.002, 0.10, 0.89999, 6.0],     # alpha1 + beta1 -> 1
-    [0.03, 0.0, 0.05, 0.10, 0.85, 2.0501],      # nu near its 2.05 edge
+    [0.03, 0.0, 0.05, 0.10, 0.85, 2.0501],      # nu near the fit's 2.05 bound
     [-0.02, 0.35, 0.03, 0.12, 0.80, 9.0],       # phi != 0
 ])
 def test_neg_loglik_gradient_matches_central_difference(x):
-    r = simulate_ar_garch(GarchParams(ar1=0.1, mean=2e-4, omega=2e-6, alpha1=0.08, beta1=0.9, nu=5.0),
-                          n=1_500, seed=21).returns * _RETURN_SCALE
+    r = standardized(simulate_ar_garch(
+        GarchParams(ar1=0.1, mean=2e-4, omega=2e-6, alpha1=0.08, beta1=0.9, nu=5.0), n=1_500, seed=21))
     x = np.array(x)
     value, grad = _neg_loglik(x, r, jac=True)
     assert value == _neg_loglik(x, r)
@@ -209,10 +217,52 @@ def test_neg_loglik_gradient_matches_central_difference(x):
 
 
 def test_neg_loglik_gradient_is_zero_at_penalty():
-    r = simulate_ar_garch(TRUE_PARAMS, n=300, seed=4).returns * _RETURN_SCALE
+    r = standardized(simulate_ar_garch(TRUE_PARAMS, n=300, seed=4))
     value, grad = _neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 6.0]), r, jac=True)
     assert value == _neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 6.0]), r) == 1e10
     assert not np.any(grad)
+
+
+def loop_log_likelihood(params, r):
+    """The Student-t conditional log-likelihood written out one observation at a time."""
+    nu = params.nu
+    const = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(math.pi * (nu - 2))
+    eps = [r[t] - params.mean - params.ar1 * r[t - 1] for t in range(1, len(r))]
+    s2 = sum(e * e for e in eps) / len(eps)
+    ll = 0.0
+    for e in eps:
+        ll += const - 0.5 * math.log(s2) - 0.5 * (nu + 1) * math.log1p(e * e / (s2 * (nu - 2)))
+        s2 = params.omega + params.alpha1 * e * e + params.beta1 * s2
+    return ll
+
+
+@pytest.mark.parametrize("params", [
+    GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=2.03),
+    GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9199995, nu=6.0),
+    GarchParams(ar1=1.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=6.0),
+    GarchParams(ar1=0.05, mean=3e-4, omega=2e-6, alpha1=0.1, beta1=0.85, nu=6.0),
+])
+def test_log_likelihood_is_the_likelihood_everywhere_admissible(params):
+    series = simulate_ar_garch(TRUE_PARAMS, n=500, seed=9)
+    assert garch_log_likelihood(params, series) == pytest.approx(
+        loop_log_likelihood(params, series.returns.tolist()), rel=1e-9)
+
+
+def test_log_likelihood_rejects_a_zero_variance_path():
+    # returns the AR(1) mean explains exactly leave eps = 0 and sigma^2_1 = mean(eps^2) = 0
+    series = make_series([0.001] * 300)
+    with pytest.raises(InputError):
+        garch_log_likelihood(GarchParams(ar1=0.0, mean=0.001, omega=1e-6, alpha1=0.08, beta1=0.9, nu=6.0), series)
+
+
+@pytest.mark.parametrize("nu", [1e7, 2.5e8, 1e12])
+def test_student_t_constant_at_large_nu(nu):
+    # ln Gamma(a + 1/2) - ln Gamma(a) = 0.5 ln a - 1/(8a) + 1/(192 a^3) + O(a^-5), a = nu/2
+    a = nu / 2
+    r = np.array([0.0, 1.0])  # one residual eps = 1, with sigma^2 = mean(eps^2) = 1
+    rest = -0.5 * math.log(math.pi * (nu - 2)) - 0.5 * (nu + 1) * math.log1p(1 / (nu - 2))
+    ll = -_neg_loglik(np.array([0.0, 0.0, 0.1, 0.1, 0.8, nu]), r)
+    assert ll == pytest.approx(0.5 * math.log(a) - 1 / (8 * a) + 1 / (192 * a**3) + rest, rel=0, abs=1e-14)
 
 
 def test_garch_fit_reaches_the_golden_optimum():
