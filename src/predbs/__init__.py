@@ -54,7 +54,6 @@ from .sde import (
     PathSimConfig,
     ito_integral,
     mc_risk_neutral_call,
-    simulate_ito_gbm,
     simulate_stratonovich_alpha,
     stratonovich_alpha_integral,
     stratonovich_half_integral,

@@ -60,7 +60,6 @@ def _emit(args, fields: list[tuple[str, object]], to_file: bool = True) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write the result to this file as well")
     sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    sub.add_argument("--seed", type=int, default=42, help="reproducibility seed (default 42)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, default=1.0, help="years")
     sp.add_argument("--steps", type=int, default=252)
     sp.add_argument("--paths", type=int, default=100_000)
+    sp.add_argument("--seed", type=int, default=42, help="reproducibility seed (default 42)")
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
 
@@ -159,11 +159,10 @@ def cmd_simulate(args) -> int:
                             seed=args.seed)
     batch = sde.simulate_stratonovich_alpha(cfg)
     mean_log, se_log = batch.mean_log_return()
-    theoretical = args.mu + args.alpha * args.sigma**2 - 0.5 * args.sigma**2
     _emit(args, [
         ("mean_log_drift", mean_log / args.horizon),
         ("std_error", se_log / args.horizon),
-        ("theoretical_drift", theoretical),
+        ("theoretical_drift", cfg.log_drift),
         ("paths", args.paths),
         ("steps", args.steps),
         ("seed", args.seed),

@@ -302,18 +302,22 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
     try:
         with open(meta_file, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{what}: bad metadata sidecar: {exc}") from exc
-    for key in ("method", "spot", "rate"):
+    if not isinstance(meta, dict):
+        raise ParseError(f"{what}: metadata sidecar is not a JSON object")
+    for key in ("method", "spot", "rate", "points"):
         if key not in meta:
             raise ParseError(f"{what}: metadata lacks {key!r}")
-    as_of = date.fromisoformat(meta["as_of"]) if meta.get("as_of") else None
+    if meta["points"] != len(points):
+        raise ParseError(f"{what}: metadata sidecar says {meta['points']!r} points, file has {len(points)} rows")
     try:
+        as_of = date.fromisoformat(meta["as_of"]) if meta.get("as_of") else None
         return PredictabilitySurface(
             method=str(meta["method"]), spot=float(meta["spot"]), rate=float(meta["rate"]),
             as_of=as_of, points=tuple(points), failures=tuple(meta.get("failures", ())),
         )
-    except (InputError, TypeError, ValueError) as exc:
+    except (InputError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: invalid content: {exc}") from exc
 
 

@@ -18,11 +18,7 @@ class QuoteRejectedError(PredbsError, ValueError):
 
 
 class EstimationError(PredbsError, RuntimeError):
-    """Statistical estimation failed; carries the best point found, if any."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Statistical estimation failed."""
 
 
 class ParseError(PredbsError, ValueError):

@@ -91,7 +91,9 @@ def d_plus_minus(inputs: PricingInputs) -> tuple[float, float]:
     if sig_sqrt_tau == 0.0:
         raise DegenerateInputError("sigma * sqrt(tau) == 0: take the deterministic limit")
     q = inputs.dividend_yield
-    log_fwd = math.log(inputs.spot / inputs.strike) + (inputs.rate - q) * inputs.tau
+    m = inputs.spot / inputs.strike  # may under- or overflow at extreme moneyness; its log does not
+    log_m = math.log(m) if 0.0 < m < math.inf else math.log(inputs.spot) - math.log(inputs.strike)
+    log_fwd = log_m + (inputs.rate - q) * inputs.tau
     half_var = 0.5 * inputs.sigma * inputs.sigma * inputs.tau
     return (log_fwd + half_var) / sig_sqrt_tau, (log_fwd - half_var) / sig_sqrt_tau
 
@@ -140,25 +142,24 @@ def dprice_dp(inputs: PricingInputs) -> float:
     return -inputs.sigma**2 * inputs.tau * inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(dp)
 
 
-def pde_residual(inputs: PricingInputs, bump: float = 1e-3, pde_p: float | None = None) -> float:
+def pde_residual(inputs: PricingInputs, pde_p: float | None = None) -> float:
     """Left-hand side of the pricing PDE evaluated with central finite differences.
 
         0 = dC/dt + dC/dx (r - p sigma^2) x - r C + sigma^2 x^2 / 2 * d2C/dx2
 
     Time and spot derivatives come from 5-point central stencils with relative
-    bumps (h*tau, h*spot), so the residual of the closed form is O(h^4).
+    bumps (h*tau, h*spot), h = 1e-3, so the residual of the closed form is O(h^4).
     Passing `pde_p` different from inputs.p is a deliberate mismatch probe:
     the residual then picks up (p - pde_p) sigma^2 x dC/dx.
     """
-    if bump <= 0 or bump >= 0.25:
-        raise InputError("bump must be in (0, 0.25)")
-    if inputs.tau < 10.0 * bump:
+    h = 1e-3
+    if inputs.tau < 10.0 * h:
         raise InputError(f"tau={inputs.tau} too close to expiry for stable differencing")
     if pde_p is None:
         pde_p = inputs.p
 
     s, tau = inputs.spot, inputs.tau
-    ht, hs = bump * tau, bump * s
+    ht, hs = h * tau, h * s
 
     def at(spot_x: float, tau_x: float) -> float:
         return call_price(

@@ -11,13 +11,12 @@ alpha = 0 reduces to the left-point rule and alpha = 1/2 to the midpoint
 rule; for any a the offset sum converges to
 2a * (midpoint) + (1 - 2a) * (left point).
 
-The price simulators use the exact log-space scheme
+The price simulator uses the exact log-space scheme
 
-    ln S_{j+1} = ln S_j + (drift - sigma^2/2) dt + sigma dB_j
+    ln S_{j+1} = ln S_j + (mu + a sigma^2 - sigma^2/2) dt + sigma dB_j
 
-so Monte Carlo tests see statistical error only, never Euler bias.  The
-offset-rule SDE with parameter a is simulated as the equivalent plain SDE
-with drift mu + a*sigma^2.
+so Monte Carlo tests see statistical error only, never Euler bias: the
+offset-rule SDE with parameter a is the plain SDE with drift mu + a*sigma^2.
 
 Randomness comes from counter-based Philox streams keyed by the config
 seed, with path i owning row i of a fixed (paths, steps) draw layout, so
@@ -28,7 +27,7 @@ Ensemble means use numpy's pairwise summation (fixed reduction order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +44,6 @@ __all__ = [
     "ito_integral",
     "stratonovich_half_integral",
     "stratonovich_alpha_integral",
-    "simulate_ito_gbm",
     "simulate_stratonovich_alpha",
     "mc_risk_neutral_call",
 ]
@@ -225,15 +223,18 @@ class PathSimConfig:
         if self.steps < 1 or self.paths < 1:
             raise InputError("steps and paths must be >= 1")
 
+    @property
+    def log_drift(self) -> float:
+        """Drift of ln S per year: mu + alpha sigma^2 - sigma^2/2."""
+        return self.mu + self.alpha * self.sigma**2 - 0.5 * self.sigma**2
+
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated ensemble: terminal prices, optional full paths, and the producing config."""
+    """Simulated ensemble: terminal prices and the producing config."""
 
     terminal: np.ndarray
     config: PathSimConfig
-    paths: Optional[np.ndarray] = None
-    times: Optional[np.ndarray] = field(default=None, repr=False)
 
     def mean_log_return(self) -> tuple[float, float]:
         """Ensemble mean of ln(S_T / S_0) and its standard error (pairwise sums)."""
@@ -245,32 +246,18 @@ class PathBatch:
         return mean, float(np.std(logs, ddof=1) / math.sqrt(n))
 
 
-def _simulate_gbm(cfg: PathSimConfig, drift: float, return_paths: bool) -> PathBatch:
+def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
+    """Simulate the offset-convention SDE: the plain SDE with drift mu + alpha*sigma^2.
+
+    alpha = 0 is the left-point (Ito) SDE dS = mu S dt + sigma S dB.
+    """
     dt = cfg.horizon / cfg.steps
-    inc_drift = (drift - 0.5 * cfg.sigma**2) * dt
+    inc_drift = cfg.log_drift * dt
     inc_vol = cfg.sigma * math.sqrt(dt)
     # path i owns row i of the Philox draw layout
     z = _philox(cfg.seed).standard_normal((cfg.paths, cfg.steps))
-    log_inc = inc_drift + inc_vol * z
-    if return_paths:
-        log_paths = np.concatenate(
-            [np.zeros((cfg.paths, 1)), np.cumsum(log_inc, axis=1)], axis=1
-        )
-        full = cfg.s0 * np.exp(log_paths)
-        times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-        return PathBatch(terminal=full[:, -1].copy(), config=cfg, paths=full, times=times)
-    terminal = cfg.s0 * np.exp(np.sum(log_inc, axis=1))
+    terminal = cfg.s0 * np.exp(np.sum(inc_drift + inc_vol * z, axis=1))
     return PathBatch(terminal=terminal, config=cfg)
-
-
-def simulate_ito_gbm(cfg: PathSimConfig, return_paths: bool = False) -> PathBatch:
-    """Simulate dS = mu S dt + sigma S dB (left-point convention), log-exact scheme."""
-    return _simulate_gbm(cfg, cfg.mu, return_paths)
-
-
-def simulate_stratonovich_alpha(cfg: PathSimConfig, return_paths: bool = False) -> PathBatch:
-    """Simulate the offset-convention SDE: equivalent plain SDE with drift mu + alpha*sigma^2."""
-    return _simulate_gbm(cfg, cfg.mu + cfg.alpha * cfg.sigma**2, return_paths)
 
 
 @dataclass(frozen=True)

@@ -122,12 +122,12 @@ def realized_vol(series: ReturnSeries, window: int) -> VolEstimate:
     return VolEstimate.from_daily("realized", sigma_daily, window, series.as_of)
 
 
-def vix_to_sigma(vix_quote: float, as_of: Optional[date] = None) -> VolEstimate:
+def vix_to_sigma(vix_quote: float) -> VolEstimate:
     """Convert a VIX quote in index points (annualized % points) to sigma."""
     if not math.isfinite(vix_quote) or vix_quote < 0:
         raise InputError(f"vix quote must be >= 0, got {vix_quote}")
     annual = vix_quote / 100.0
-    return VolEstimate("vix", annual / _SQRT_DAYS, annual, None, as_of)
+    return VolEstimate("vix", annual / _SQRT_DAYS, annual)
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
             best_fun, best_x = fun, res.x
 
     if best_x is None:
-        raise EstimationError("all optimizer starts failed", best=None)
+        raise EstimationError("all optimizer starts failed")
 
     mu0, phi, omega, a1, b1, nu = best_x * np.array([sd, 1.0, var, 1.0, 1.0, 1.0])  # back to returns
     params = GarchParams(ar1=float(phi), mean=float(mu0), omega=float(omega),
@@ -307,12 +307,16 @@ def garch_forecast_vol(params: GarchParams, series: ReturnSeries) -> VolEstimate
     return VolEstimate.from_daily("garch", math.sqrt(s2_next), len(series), series.as_of)
 
 
-def simulate_ar_garch(
-    params: GarchParams, n: int, seed: int, burn: int = 500, start: Optional[date] = None
-) -> ReturnSeries:
-    """Simulate the AR-GARCH process from its stationary level (oracle for re-estimation tests)."""
+def simulate_ar_garch(params: GarchParams, n: int, seed: int, start: Optional[date] = None) -> ReturnSeries:
+    """Simulate the AR-GARCH process from its stationary level (oracle for re-estimation tests).
+
+    The first 500 draws are burn-in and discarded.  The AR(1) mean needs |ar1| < 1.
+    """
     if n < 2:
         raise InputError("n must be >= 2")
+    if not abs(params.ar1) < 1.0:
+        raise InputError(f"simulation needs a stationary AR(1) mean, |ar1| < 1, got ar1={params.ar1}")
+    burn = 500
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_t(params.nu, size=n + burn) * math.sqrt((params.nu - 2.0) / params.nu)
     out = np.empty(n + burn)

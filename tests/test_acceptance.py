@@ -86,7 +86,7 @@ def test_criterion_02_pde_residual():
                     tau=float(rng.uniform(0.1, 2.0)), rate=float(rng.uniform(-0.01, 0.08)),
                     sigma=float(rng.uniform(0.08, 0.5)), p=p,
                 )
-                assert abs(pde_residual(inputs, bump=1e-3)) <= 1e-6
+                assert abs(pde_residual(inputs)) <= 1e-6
 
 
 def test_criterion_03_risk_neutral_consistency():

@@ -88,6 +88,19 @@ def test_quote_rejected_nonpositive():
         implied_excess_predictability(-3.0, **BASE)
 
 
+@pytest.mark.parametrize("spot, strike", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_extreme_moneyness_calibrates(spot, strike):
+    # spot / strike under- or overflows; the deep in-the-money call still identifies p
+    kw = dict(spot=spot, strike=strike, tau=1.0, rate=0.05, sigma=0.2)
+    if spot > strike:
+        point = implied_excess_predictability(call_price(PricingInputs(p=0.3, **kw)).price, **kw)
+        assert point.clamped is ClampStatus.NONE
+        assert point.p == pytest.approx(0.3, abs=1e-9)
+    else:  # every model price underflows to 0: any positive quote clamps at p = -1
+        point = implied_excess_predictability(1e-301, **kw)
+        assert point.clamped is ClampStatus.AT_MINUS_ONE and point.model_price == 0.0
+
+
 def test_zero_diffusion_not_identifiable():
     with pytest.raises(InputError):
         implied_excess_predictability(5.0, spot=100.0, strike=100.0, tau=0.5,

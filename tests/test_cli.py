@@ -92,6 +92,23 @@ def test_missing_subcommand_rejected(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    PRICE_ARGS,
+    ["vol", "--method", "vix", "--vix", "20"],
+    ["vrp", "--vix", "20", "--returns", "r.csv"],
+    ["calibrate", "--market-price", "10", "--spot", "100", "--strike", "100",
+     "--tau", "1", "--rate", "0.05", "--sigma", "0.2"],
+    ["surface", "--chain", "c.csv", "--spot", "100", "--rate", "0.05", "--method", "vix",
+     "--vix", "20", "--out", "s.csv"],
+    ["diff-surface", "--base", "a.csv", "--other", "b.csv", "--out", "d.csv"],
+], ids=lambda argv: argv[0])
+def test_seed_only_on_simulate(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- simulate
 
 def test_simulate_zero_sigma_exact(capsys):

@@ -274,6 +274,30 @@ def test_surface_read_rejects_bad_sidecar(tmp_path):
     (tmp_path / "surface.json").write_text('{"spot": 1.0, "rate": 0.0}')  # no method
     with pytest.raises(ParseError):
         read_surface(out)
+    for text in ('5', '["method", "spot", "rate", "points"]'):  # valid JSON, not an object
+        (tmp_path / "surface.json").write_text(text)
+        with pytest.raises(ParseError, match="not a JSON object"):
+            read_surface(out)
+    write_surface(surface, out)
+    meta = (tmp_path / "surface.json").read_text()
+    for as_of in ('5', '"2015-13-45"'):
+        (tmp_path / "surface.json").write_text(meta.replace('"2015-01-02"', as_of))
+        with pytest.raises(ParseError, match="invalid content"):
+            read_surface(out)
+    (tmp_path / "surface.json").write_bytes(b"\xff\xfe{")
+    with pytest.raises(ParseError, match="bad metadata sidecar"):
+        read_surface(out)
+
+
+def test_surface_read_rejects_truncated_file(tmp_path):
+    rng = np.random.default_rng(52)
+    surface = random_surface(rng, n=52)
+    out = tmp_path / "surface.csv"
+    write_surface(surface, out)
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:-3]))  # last 3 rows cut off; the sidecar still says 52
+    with pytest.raises(ParseError, match="says 52 points, file has 49 rows"):
+        read_surface(out)
 
 
 def test_surface_read_rejects_bad_flag(tmp_path):

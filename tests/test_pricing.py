@@ -227,6 +227,23 @@ def test_price_floored_at_zero(price_fn, inputs):
     assert price == 0.0 and math.copysign(1.0, price) == 1.0
 
 
+@pytest.mark.parametrize("spot, strike", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_extreme_moneyness_prices(spot, strike):
+    # spot / strike under- or overflows to 0 or inf; ln S - ln K does not
+    inputs = PricingInputs(spot=spot, strike=strike, tau=1.0, rate=0.05, sigma=0.2, p=0.3)
+    log_m = math.log(spot) - math.log(strike)
+    d_plus, d_minus = d_plus_minus(inputs)
+    assert d_plus == pytest.approx((log_m + (0.05 - 0.012) + 0.02) / 0.2, rel=1e-15)
+    assert d_minus == pytest.approx((log_m + (0.05 - 0.012) - 0.02) / 0.2, rel=1e-15)
+    fwd_spot, fwd_strike = spot * math.exp(-0.012), strike * math.exp(-0.05)
+    call, put = call_price(inputs).price, put_price(inputs).price
+    deep_in = spot > strike
+    assert call == (pytest.approx(fwd_spot - fwd_strike, rel=1e-15) if deep_in else 0.0)
+    assert put == (0.0 if deep_in else pytest.approx(fwd_strike - fwd_spot, rel=1e-15))
+    slope = dprice_dp(inputs)
+    assert slope == (pytest.approx(-0.04 * fwd_spot, rel=1e-15) if deep_in else 0.0)
+
+
 # ------------------------------------------------------------- dC/dp
 
 def test_dprice_dp_zero_sigma():
@@ -257,12 +274,12 @@ def test_dprice_dp_matches_finite_difference():
 
 def test_pde_residual_classical_point():
     inputs = PricingInputs(spot=100, strike=100, tau=0.5, rate=0.05, sigma=0.2, p=0.0)
-    assert abs(pde_residual(inputs, bump=1e-3)) <= 1e-6
+    assert abs(pde_residual(inputs)) <= 1e-6
 
 
 def test_pde_residual_nonzero_p():
     inputs = PricingInputs(spot=100, strike=100, tau=0.5, rate=0.05, sigma=0.2, p=0.7)
-    assert abs(pde_residual(inputs, bump=1e-3)) <= 1e-6
+    assert abs(pde_residual(inputs)) <= 1e-6
 
 
 def test_pde_residual_grid():
@@ -274,20 +291,20 @@ def test_pde_residual_grid():
                 tau=rng.uniform(0.1, 2.0), rate=rng.uniform(-0.01, 0.08),
                 sigma=rng.uniform(0.08, 0.5), p=p,
             )
-            assert abs(pde_residual(inputs, bump=1e-3)) <= 1e-6
+            assert abs(pde_residual(inputs)) <= 1e-6
 
 
 def test_pde_residual_detects_mismatched_p():
     inputs = PricingInputs(spot=100, strike=100, tau=0.5, rate=0.05, sigma=0.2, p=0.3)
-    matched = abs(pde_residual(inputs, bump=1e-3))
-    mismatched = abs(pde_residual(inputs, bump=1e-3, pde_p=0.7))
+    matched = abs(pde_residual(inputs))
+    mismatched = abs(pde_residual(inputs, pde_p=0.7))
     assert mismatched > 1e3 * max(matched, 1e-12)
 
 
 def test_pde_residual_rejects_tiny_tau():
     inputs = PricingInputs(spot=100, strike=100, tau=0.005, rate=0.05, sigma=0.2, p=0.0)
     with pytest.raises(InputError):
-        pde_residual(inputs, bump=1e-3)
+        pde_residual(inputs)
 
 
 # ------------------------------------------------------------ validation

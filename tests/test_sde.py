@@ -10,7 +10,6 @@ from predbs.sde import (
     PathSimConfig,
     ito_integral,
     mc_risk_neutral_call,
-    simulate_ito_gbm,
     simulate_stratonovich_alpha,
     stratonovich_alpha_integral,
     stratonovich_half_integral,
@@ -194,14 +193,14 @@ def test_sim_config_validation():
 def test_ito_gbm_deterministic_limit():
     cfg = PathSimConfig(mu=0.05, sigma=0.0, alpha=0.0, s0=100.0, horizon=1.0,
                         steps=16, paths=50, seed=3)
-    batch = simulate_ito_gbm(cfg)
+    batch = simulate_stratonovich_alpha(cfg)
     assert np.allclose(batch.terminal, 100.0 * math.exp(0.05), rtol=1e-12)
 
 
 def test_ito_gbm_martingale_when_driftless():
     cfg = PathSimConfig(mu=0.0, sigma=0.3, alpha=0.0, s0=100.0, horizon=1.0,
                         steps=64, paths=100_000, seed=11)
-    batch = simulate_ito_gbm(cfg)
+    batch = simulate_stratonovich_alpha(cfg)
     se = batch.terminal.std(ddof=1) / math.sqrt(cfg.paths)
     assert abs(batch.terminal.mean() - 100.0) < 3.0 * se
 
@@ -209,15 +208,20 @@ def test_ito_gbm_martingale_when_driftless():
 def test_ito_gbm_log_mean():
     cfg = PathSimConfig(mu=0.1, sigma=0.2, alpha=0.0, s0=100.0, horizon=1.0,
                         steps=64, paths=100_000, seed=17)
-    mean, se = simulate_ito_gbm(cfg).mean_log_return()
+    mean, se = simulate_stratonovich_alpha(cfg).mean_log_return()
     assert abs(mean - 0.08) < 3.0 * se
 
 
-def test_alpha_sim_matches_ito_at_alpha_zero():
-    kw = dict(mu=0.07, sigma=0.25, s0=50.0, horizon=0.5, steps=32, paths=2000, seed=23)
-    a = simulate_stratonovich_alpha(PathSimConfig(alpha=0.0, **kw))
-    b = simulate_ito_gbm(PathSimConfig(alpha=0.0, **kw))
-    assert np.array_equal(a.terminal, b.terminal)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_alpha_sim_is_the_log_exact_scheme(alpha):
+    # row i of the Philox draws drives path i; ln S steps by log_drift dt + sigma sqrt(dt) z
+    cfg = PathSimConfig(mu=0.07, sigma=0.25, alpha=alpha, s0=50.0, horizon=0.5,
+                        steps=32, paths=2000, seed=23)
+    assert cfg.log_drift == 0.07 + alpha * 0.25**2 - 0.5 * 0.25**2
+    dt = 0.5 / 32
+    z = np.random.Generator(np.random.Philox(key=23)).standard_normal((2000, 32))
+    expected = 50.0 * np.exp(np.sum(cfg.log_drift * dt + 0.25 * math.sqrt(dt) * z, axis=1))
+    assert np.array_equal(simulate_stratonovich_alpha(cfg).terminal, expected)
 
 
 @pytest.mark.parametrize("alpha,expected", [(1.0, 0.02), (0.5, 0.0)])
@@ -254,16 +258,6 @@ def test_batch_reproducible_and_positive():
     b = simulate_stratonovich_alpha(cfg)
     assert np.array_equal(a.terminal, b.terminal)
     assert np.all(a.terminal > 0)
-
-
-def test_full_paths_option():
-    cfg = PathSimConfig(mu=0.0, sigma=0.2, alpha=0.0, s0=100.0, horizon=1.0,
-                        steps=16, paths=10, seed=5)
-    batch = simulate_ito_gbm(cfg, return_paths=True)
-    assert batch.paths.shape == (10, 17)
-    assert np.allclose(batch.paths[:, 0], 100.0)
-    assert np.array_equal(batch.paths[:, -1], batch.terminal)
-    assert np.all(batch.paths > 0)
 
 
 # ------------------------------------------------------------ MC pricer

@@ -152,6 +152,13 @@ def test_garch_params_validation():
         GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=math.nan)
 
 
+@pytest.mark.parametrize("ar1", [1.0, -1.0, 1.5])
+def test_simulation_needs_stationary_ar1(ar1):
+    params = GarchParams(ar1=ar1, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=6.0)
+    with pytest.raises(InputError, match=r"\|ar1\| < 1"):
+        simulate_ar_garch(params, n=10, seed=1)
+
+
 def test_sigma2_recursion_matches_naive_loop():
     rng = np.random.Generator(np.random.Philox(key=42))
     r = rng.normal(0.0, 0.01, size=201)
