@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,9 +34,10 @@ def _bounded_float(name: str, lo: float, hi: float):
 
 
 def _render(fields: list[tuple[str, object]], fmt: str) -> str:
-    """Deterministic rendering of an ordered field list."""
+    """Deterministic rendering of an ordered field list; non-finite floats read inf, -inf, nan."""
     if fmt == "json":
-        return json.dumps(dict(fields), indent=2) + "\n"
+        doc = {k: _cell(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in fields}
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         head = ",".join(k for k, _ in fields)
         row = ",".join(_cell(v) for _, v in fields)

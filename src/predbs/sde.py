@@ -1,15 +1,17 @@
 """Stochastic integral discretizations and GBM simulation.
 
-Three Riemann-sum stochastic integrals against a Brownian path B on a
-uniform grid 0 = t_0 < ... < t_k = T:
+Every stochastic integral here is one Riemann sum against a Brownian path B
+on a uniform grid 0 = t_0 < ... < t_k = T, with the integrand theta a
+function of time evaluated at an offset point of each step:
 
-    ito:        sum_j theta(t_j) * (B_{j+1} - B_j)          (left point)
-    half:       sum_j theta((t_j + t_{j+1})/2) * dB_j        (midpoint)
-    alpha:      sum_j theta(t_j (1-a) + a t_{j+1}) * dB_j    (offset point)
+    alpha:      sum_j theta((1-a) t_j + a t_{j+1}) * (B_{j+1} - B_j)
+    ito:        a = 0, theta(t_j)                            (left point)
+    half:       a = 1/2, theta((t_j + t_{j+1})/2)            (midpoint)
 
-alpha = 0 reduces to the left-point rule and alpha = 1/2 to the midpoint
-rule; for any a the offset sum converges to
-2a * (midpoint) + (1 - 2a) * (left point).
+For any a the offset sum converges to
+2a * (midpoint) + (1 - 2a) * (left point).  A recorded path becomes a
+function of time by linear interpolation between its nodes, which returns
+the recorded values at the nodes themselves.
 
 The price simulator uses the exact log-space scheme
 
@@ -116,7 +118,7 @@ class BrownianPath:
     def subsample(self, steps: int) -> "BrownianPath":
         """Coarsen to `steps` intervals (must divide the native step count)."""
         native = self.times.size - 1
-        if native % steps != 0:
+        if steps < 1 or native % steps != 0:
             raise InputError(f"cannot subsample {native} intervals to {steps}")
         k = native // steps
         return BrownianPath(self.times[::k], self.values[::k])
@@ -124,48 +126,18 @@ class BrownianPath:
 
 @dataclass(frozen=True)
 class IntegrandPath:
-    """Integrand values on a Brownian path's grid, plus an off-grid evaluator.
+    """An integrand theta as a function of time, evaluated on arrays of times."""
 
-    Without an explicit evaluator, intermediate points are linearly
-    interpolated between grid values (the grid-limit definition gives no
-    interpolation rule, so the simplest consistent one is used).
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.shape != values.shape or times.ndim != 1:
-            raise InputError("times and values must be 1-d arrays of equal length")
-
-    @classmethod
-    def from_function(cls, f: Callable[[np.ndarray], np.ndarray], b: BrownianPath) -> "IntegrandPath":
-        return cls(b.times, np.asarray(f(b.times), dtype=float), evaluator=f)
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def from_brownian(cls, b: BrownianPath, fine: Optional[BrownianPath] = None) -> "IntegrandPath":
-        """theta = B itself; pass a finer record of the same motion to evaluate between nodes."""
-        if fine is None:
-            return cls(b.times, b.values)
-        ev = lambda t: np.interp(t, fine.times, fine.values)
-        return cls(b.times, b.values, evaluator=ev)
+        """theta = B, linearly interpolated between the nodes of `fine` (default `b`)."""
+        rec = b if fine is None else fine
+        return cls(lambda t: np.interp(t, rec.times, rec.values))
 
     def at(self, t: np.ndarray) -> np.ndarray:
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(t), dtype=float)
-        return np.interp(t, self.times, self.values)
-
-
-def _check_grids(theta: IntegrandPath, b: BrownianPath) -> None:
-    if theta.times.shape != b.times.shape:
-        raise InputError(
-            f"integrand grid ({theta.times.size}) does not match Brownian grid ({b.times.size})"
-        )
+        return np.asarray(self.evaluator(t), dtype=float)
 
 
 def ito_integral(theta: IntegrandPath, b: BrownianPath) -> float:
@@ -176,19 +148,13 @@ def ito_integral(theta: IntegrandPath, b: BrownianPath) -> float:
 def stratonovich_alpha_integral(theta: IntegrandPath, b: BrownianPath, alpha: float) -> float:
     """Offset-point integral sum_j theta(t_j (1-alpha) + alpha t_{j+1}) * dB_j.
 
-    alpha = 0 is `ito_integral` (the grid values themselves); alpha = 1/2 is
-    `stratonovich_half_integral`.
+    alpha = 0 is `ito_integral` (the offset times are exactly t_j); alpha = 1/2
+    is `stratonovich_half_integral`.
     """
-    _check_grids(theta, b)
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
-    db = np.diff(b.values)
-    if alpha == 0.0:
-        vals = theta.values[:-1]
-    else:
-        t_off = b.times[:-1] * (1.0 - alpha) + alpha * b.times[1:]
-        vals = theta.at(t_off)
-    return float(np.sum(vals * db))
+    t_off = b.times[:-1] * (1.0 - alpha) + alpha * b.times[1:]
+    return float(np.sum(theta.at(t_off) * np.diff(b.values)))
 
 
 def stratonovich_half_integral(theta: IntegrandPath, b: BrownianPath) -> float:
@@ -216,6 +182,8 @@ class PathSimConfig:
             raise InputError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.sigma < 0:
             raise InputError("sigma must be >= 0")
+        if not math.isfinite(self.sigma * self.sigma):
+            raise InputError(f"sigma^2 overflows for sigma = {self.sigma}")
         if self.s0 <= 0:
             raise InputError("s0 must be > 0")
         if self.horizon <= 0:
@@ -231,19 +199,22 @@ class PathSimConfig:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated ensemble: terminal prices and the producing config."""
+    """Simulated ensemble: log-returns ln(S_T / S_0) and the producing config."""
 
-    terminal: np.ndarray
+    log_return: np.ndarray
     config: PathSimConfig
+
+    @property
+    def terminal(self) -> np.ndarray:
+        return self.config.s0 * np.exp(self.log_return)
 
     def mean_log_return(self) -> tuple[float, float]:
         """Ensemble mean of ln(S_T / S_0) and its standard error (pairwise sums)."""
-        logs = np.log(self.terminal / self.config.s0)
-        n = logs.size
-        mean = float(np.mean(logs))
+        n = self.log_return.size
+        mean = float(np.mean(self.log_return))
         if self.config.sigma == 0.0 or n < 2:
             return mean, 0.0  # deterministic ensemble: no sampling error
-        return mean, float(np.std(logs, ddof=1) / math.sqrt(n))
+        return mean, float(np.std(self.log_return, ddof=1) / math.sqrt(n))
 
 
 def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
@@ -256,8 +227,7 @@ def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
     inc_vol = cfg.sigma * math.sqrt(dt)
     # path i owns row i of the Philox draw layout
     z = _philox(cfg.seed).standard_normal((cfg.paths, cfg.steps))
-    terminal = cfg.s0 * np.exp(np.sum(inc_drift + inc_vol * z, axis=1))
-    return PathBatch(terminal=terminal, config=cfg)
+    return PathBatch(log_return=np.sum(inc_drift + inc_vol * z, axis=1), config=cfg)
 
 
 @dataclass(frozen=True)

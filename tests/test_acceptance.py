@@ -138,7 +138,7 @@ def test_criterion_05_alpha_integral_identity(brownian_fixture_files):
                 errs = []
                 for steps in (64, 256, 1024):  # dt = 1/64, 1/256, 1/1024
                     b = fine.subsample(steps)
-                    theta = IntegrandPath.from_function(theta_fn, b)
+                    theta = IntegrandPath(theta_fn)
                     lhs = stratonovich_alpha_integral(theta, b, alpha)
                     rhs = 2 * alpha * stratonovich_half_integral(theta, b) \
                         + (1 - 2 * alpha) * ito_integral(theta, b)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -13,6 +14,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard constants Infinity, -Infinity and NaN."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 PRICE_ARGS = ["price", "--spot", "100", "--strike", "100", "--tau", "1",
@@ -35,6 +43,16 @@ def test_price_json_format(capsys):
     doc = json.loads(out)
     assert doc["price"] == pytest.approx(10.450583572185565, rel=1e-12)
     assert doc["dividend_yield"] == 0.0
+
+
+def test_price_json_writes_infinite_d_as_string(capsys):
+    # no diffusion and a positive forward gap: d_+ = d_- = +inf
+    code, out, _ = run_cli(capsys, "price", "--spot", "120", "--strike", "100", "--tau", "1",
+                           "--rate", "0", "--sigma", "0", "--format", "json")
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["d_plus"] == doc["d_minus"] == "inf"
+    assert doc["price"] == 20.0
 
 
 def test_price_csv_format(capsys):
@@ -139,6 +157,25 @@ def test_simulate_half_alpha_cancels_correction(capsys):
     assert abs(doc["mean_log_drift"]) < 3 * doc["std_error"]
 
 
+def test_simulate_large_sigma_reports_finite_numbers(capsys):
+    # terminal prices underflow to 0 here; the report reads the log-returns directly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate", "--mu", "0", "--sigma", "1e3",
+                                 "--paths", "100", "--steps", "4", "--format", "csv")
+    assert code == 0 and err == ""
+    row = out.splitlines()[1].split(",")
+    assert all(math.isfinite(float(x)) for x in row)
+    assert float(row[2]) == -500000.0
+
+
+def test_simulate_overflowing_sigma_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--mu", "0", "--sigma", "1e200",
+                             "--paths", "100", "--steps", "4", "--format", "csv")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "sigma" in err
+
+
 def test_simulate_alpha_out_of_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--mu", "0", "--sigma", "0.2", "--alpha", "1.5"])
@@ -240,6 +277,14 @@ def test_calibrate_round_trip(capsys):
     doc = json.loads(out)
     assert doc["p"] == pytest.approx(0.4, abs=1e-8)
     assert doc["clamped"] == "none"
+
+
+def test_calibrate_json_writes_infinite_moneyness_as_string(capsys):
+    code, out, _ = run_cli(capsys, "calibrate", "--market-price", "1", "--spot", "1e300",
+                           "--strike", "1e-300", "--tau", "1", "--rate", "0.05",
+                           "--sigma", "0.2", "--format", "json")
+    assert code == 0
+    assert strict_json(out)["moneyness"] == "inf"
 
 
 def test_calibrate_rejected_quote(capsys):

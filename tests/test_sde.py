@@ -54,20 +54,21 @@ def test_subsample_divisibility(fixture_path):
     coarse = fixture_path.subsample(64)
     assert coarse.times.size == 65
     assert coarse.values[-1] == fixture_path.values[-1]
-    with pytest.raises(InputError):
-        fixture_path.subsample(100)
+    for steps in (100, 0, -1, -4096):
+        with pytest.raises(InputError, match="cannot subsample"):
+            fixture_path.subsample(steps)
 
 
 # ------------------------------------------------------------ integrals
 
 def test_ito_constant_integrand_telescopes(fixture_path):
-    theta = IntegrandPath.from_function(lambda t: np.ones_like(t), fixture_path)
+    theta = IntegrandPath(lambda t: np.ones_like(t))
     total = ito_integral(theta, fixture_path)
     assert total == pytest.approx(fixture_path.values[-1] - fixture_path.values[0], abs=1e-12)
 
 
 def test_ito_zero_integrand(fixture_path):
-    theta = IntegrandPath.from_function(lambda t: np.zeros_like(t), fixture_path)
+    theta = IntegrandPath(lambda t: np.zeros_like(t))
     assert ito_integral(theta, fixture_path) == 0.0
 
 
@@ -95,7 +96,7 @@ def test_ito_brownian_vs_ito_formula_oracle(fixture_path):
 
 
 def test_half_integral_constant(fixture_path):
-    theta = IntegrandPath.from_function(lambda t: np.full_like(t, 2.5), fixture_path)
+    theta = IntegrandPath(lambda t: np.full_like(t, 2.5))
     expected = 2.5 * (fixture_path.values[-1] - fixture_path.values[0])
     assert stratonovich_half_integral(theta, fixture_path) == pytest.approx(expected, abs=1e-12)
 
@@ -109,7 +110,7 @@ def test_half_integral_brownian_chain_rule(fixture_path):
 
 
 def test_half_integral_zero(fixture_path):
-    theta = IntegrandPath.from_function(lambda t: np.zeros_like(t), fixture_path)
+    theta = IntegrandPath(lambda t: np.zeros_like(t))
     assert stratonovich_half_integral(theta, fixture_path) == 0.0
 
 
@@ -129,11 +130,22 @@ def test_alpha_integral_rejects_bad_alpha(fixture_path):
         stratonovich_alpha_integral(theta, fixture_path, -0.1)
 
 
-def test_grid_mismatch_rejected(fixture_path):
+@pytest.mark.parametrize("with_fine", [False, True])
+def test_ito_of_recorded_path_is_the_left_point_sum(fixture_path, with_fine):
+    # interpolation returns the recorded values at the nodes, so the Ito sum of
+    # theta = B is the left-point sum over the grid values, bit for bit
+    c = fixture_path.subsample(64)
+    theta = IntegrandPath.from_brownian(c, fine=fixture_path if with_fine else None)
+    assert ito_integral(theta, c) == float(np.sum(c.values[:-1] * np.diff(c.values)))
+
+
+def test_integrand_recorded_on_another_grid_is_interpolated(fixture_path):
+    # theta is a function of time: a 32-step record is evaluated between its nodes
     other = BrownianPath.sample(steps=32, horizon=1.0, seed=1)
     theta = IntegrandPath.from_brownian(other)
-    with pytest.raises(InputError):
-        ito_integral(theta, fixture_path)
+    want = float(np.sum(np.interp(fixture_path.times[:-1], other.times, other.values)
+                        * np.diff(fixture_path.values)))
+    assert ito_integral(theta, fixture_path) == want
 
 
 def test_alpha_identity_exact_with_grid_interpolation(fixture_path):
@@ -188,6 +200,8 @@ def test_sim_config_validation():
         PathSimConfig(mu=0.0, sigma=-0.1, alpha=0.0, s0=100, horizon=1.0)
     with pytest.raises(InputError):
         PathSimConfig(mu=0.0, sigma=0.2, alpha=0.0, s0=-1, horizon=1.0)
+    with pytest.raises(InputError, match="overflows"):
+        PathSimConfig(mu=0.0, sigma=1e200, alpha=0.0, s0=100, horizon=1.0)
 
 
 def test_ito_gbm_deterministic_limit():
