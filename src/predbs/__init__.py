@@ -28,7 +28,6 @@ from .data_io import (
 )
 from .errors import (
     DataQualityError,
-    DegenerateInputError,
     EstimationError,
     InputError,
     ParseError,

@@ -9,10 +9,6 @@ class InputError(PredbsError, ValueError):
     """A domain input violates its contract (range, shape, finiteness)."""
 
 
-class DegenerateInputError(InputError):
-    """sigma * sqrt(tau) == 0: no diffusion, caller must take the deterministic limit."""
-
-
 class QuoteRejectedError(PredbsError, ValueError):
     """Market quote violates static no-arbitrage bounds beyond both clamp limits."""
 

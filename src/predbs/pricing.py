@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError, InputError
+from .errors import InputError
 
 __all__ = [
     "PricingInputs",
@@ -29,27 +29,29 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def norm_cdf(x: float) -> float:
-    """Standard normal CDF via erfc; absolute error below 1e-15 everywhere."""
-    if not math.isfinite(x):
-        raise InputError(f"norm_cdf requires finite x, got {x}")
+    """Standard normal CDF via erfc; absolute error below 1e-15, exactly 0 at -inf and 1 at +inf."""
+    if math.isnan(x):
+        raise InputError(f"norm_cdf requires a number, got {x}")
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def dividend_yield_due_to_predictability(p: float, sigma: float) -> float:
-    """Continuous yield q = p * sigma^2 induced by excess predictability p."""
+    """Continuous yield q = p * sigma^2 induced by excess predictability p; the one check of p and sigma."""
     if not -1.0 <= p <= 1.0:
         raise InputError(f"p must be in [-1, 1], got {p}")
     if not 0.0 <= sigma < math.inf:
         raise InputError(f"sigma must be finite and >= 0, got {sigma}")
+    if sigma * sigma == math.inf:
+        raise InputError(f"sigma^2 overflows for sigma = {sigma}")
     return p * sigma * sigma
 
 
 @dataclass(frozen=True)
 class PricingInputs:
-    """One pricing scenario.
+    """One pricing scenario; p and sigma as dividend_yield_due_to_predictability admits them.
 
     sigma == 0 and tau == 0 are admitted so calibration grids may touch
-    expiry; the pricers then return the deterministic payoff limit.
+    expiry; the closed form then takes its no-diffusion limit.
     """
 
     spot: float
@@ -67,10 +69,7 @@ class PricingInputs:
             raise InputError("spot and strike must be > 0")
         if self.tau < 0:
             raise InputError("tau must be >= 0")
-        if self.sigma < 0:
-            raise InputError("sigma must be >= 0")
-        if not -1.0 <= self.p <= 1.0:
-            raise InputError(f"p must be in [-1, 1], got {self.p}")
+        dividend_yield_due_to_predictability(self.p, self.sigma)
 
     @property
     def dividend_yield(self) -> float:
@@ -86,11 +85,15 @@ class PriceResult:
 
 
 def d_plus_minus(inputs: PricingInputs) -> tuple[float, float]:
-    """d_+- = [ln(S e^{-q tau} / (K e^{-r tau})) +- sigma^2 tau / 2] / (sigma sqrt(tau))."""
+    """d_+- = [ln(S e^{-q tau} / (K e^{-r tau})) +- sigma^2 tau / 2] / (sigma sqrt(tau)).
+
+    Without diffusion both take the formula's limit: +inf where S e^{-q tau} > K e^{-r tau}, else -inf.
+    """
+    q = inputs.dividend_yield
     sig_sqrt_tau = inputs.sigma * math.sqrt(inputs.tau)
     if sig_sqrt_tau == 0.0:
-        raise DegenerateInputError("sigma * sqrt(tau) == 0: take the deterministic limit")
-    q = inputs.dividend_yield
+        gap = inputs.spot * math.exp(-q * inputs.tau) - inputs.strike * math.exp(-inputs.rate * inputs.tau)
+        return (math.inf, math.inf) if gap > 0 else (-math.inf, -math.inf)
     m = inputs.spot / inputs.strike  # may under- or overflow at extreme moneyness; its log does not
     log_m = math.log(m) if 0.0 < m < math.inf else math.log(inputs.spot) - math.log(inputs.strike)
     log_fwd = log_m + (inputs.rate - q) * inputs.tau
@@ -101,21 +104,16 @@ def d_plus_minus(inputs: PricingInputs) -> tuple[float, float]:
 def _price(inputs: PricingInputs, w: int) -> PriceResult:
     """w = +1 prices the call, w = -1 the put: w (S e^{-q tau} Phi(w d_+) - K e^{-r tau} Phi(w d_-)).
 
-    Without diffusion the value is the discounted forward payoff w * gap.
-    Deep out of the money the two terms can cancel to a few ulp below zero,
-    so the price is floored at 0.
+    At d_+- = +-inf this is the discounted forward payoff, the no-diffusion
+    value.  Deep out of the money the two terms can cancel to a few ulp below
+    zero, so the price is floored at 0.
     """
     q = inputs.dividend_yield
-    if inputs.sigma * math.sqrt(inputs.tau) == 0.0:
-        gap = inputs.spot * math.exp(-q * inputs.tau) - inputs.strike * math.exp(-inputs.rate * inputs.tau)
-        dp = dm = w * (math.inf if w * gap > 0 else -math.inf)
-        price = w * gap
-    else:
-        dp, dm = d_plus_minus(inputs)
-        price = w * (
-            inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(w * dp)
-            - inputs.strike * math.exp(-inputs.rate * inputs.tau) * norm_cdf(w * dm)
-        )
+    dp, dm = d_plus_minus(inputs)
+    price = w * (
+        inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(w * dp)
+        - inputs.strike * math.exp(-inputs.rate * inputs.tau) * norm_cdf(w * dm)
+    )
     return PriceResult(price=price if price > 0.0 else 0.0, d_plus=dp, d_minus=dm, dividend_yield=q)
 
 
@@ -134,9 +132,7 @@ def put_price(inputs: PricingInputs) -> PriceResult:
 
 
 def dprice_dp(inputs: PricingInputs) -> float:
-    """Analytic dC/dp = -sigma^2 tau S e^{-p sigma^2 tau} Phi(d_+); strictly negative for sigma, tau > 0."""
-    if inputs.sigma * math.sqrt(inputs.tau) == 0.0:
-        return 0.0
+    """Analytic dC/dp = -sigma^2 tau S e^{-p sigma^2 tau} Phi(d_+); -0.0 without diffusion."""
     dp, _ = d_plus_minus(inputs)
     q = inputs.dividend_yield
     return -inputs.sigma**2 * inputs.tau * inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(dp)

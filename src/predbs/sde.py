@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .pricing import PricingInputs, call_price
+from .pricing import PricingInputs, call_price, dividend_yield_due_to_predictability
 
 __all__ = [
     "BrownianPath",
@@ -180,10 +180,7 @@ class PathSimConfig:
             raise InputError("config values must be finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.sigma < 0:
-            raise InputError("sigma must be >= 0")
-        if not math.isfinite(self.sigma * self.sigma):
-            raise InputError(f"sigma^2 overflows for sigma = {self.sigma}")
+        dividend_yield_due_to_predictability(0.0, self.sigma)  # the pricer's sigma domain
         if self.s0 <= 0:
             raise InputError("s0 must be > 0")
         if self.horizon <= 0:
@@ -209,12 +206,21 @@ class PathBatch:
         return self.config.s0 * np.exp(self.log_return)
 
     def mean_log_return(self) -> tuple[float, float]:
-        """Ensemble mean of ln(S_T / S_0) and its standard error (pairwise sums)."""
-        n = self.log_return.size
-        mean = float(np.mean(self.log_return))
-        if self.config.sigma == 0.0 or n < 2:
-            return mean, 0.0  # deterministic ensemble: no sampling error
-        return mean, float(np.std(self.log_return, ddof=1) / math.sqrt(n))
+        """Ensemble mean of ln(S_T / S_0) and its standard error."""
+        mean, se = _mean_and_se(self.log_return)
+        return mean, 0.0 if self.config.sigma == 0.0 else se  # no sampling error without diffusion
+
+
+def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean of x and its standard error std(ddof=1) / sqrt(n), 0 for n < 2 (pairwise sums).
+
+    Taken on x scaled exactly by the power of two that brings max |x| into [1/2, 1): no overflow.
+    """
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    y = np.ldexp(x, -e)
+    mean = math.ldexp(float(np.mean(y)), e)
+    se = math.ldexp(float(np.std(y, ddof=1) / math.sqrt(y.size)), e) if y.size > 1 else 0.0
+    return mean, se
 
 
 def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
@@ -259,13 +265,11 @@ def mc_risk_neutral_call(
         raise InputError("tau must be > 0")
     if paths < 1:
         raise InputError("paths must be >= 1")
-    if sigma == 0.0:  # no diffusion: the closed form's deterministic branch is exact
+    if sigma == 0.0:  # no diffusion: the closed form is exact
         return McCallEstimate(price=call_price(inputs).price, std_error=0.0, paths=paths, seed=seed)
     q = inputs.dividend_yield
     disc = math.exp(-rate * tau)
     z = _philox(seed).standard_normal(paths)
     st = s0 * np.exp((rate - q - 0.5 * sigma * sigma) * tau + sigma * math.sqrt(tau) * z)
-    payoff = np.maximum(st - strike, 0.0)
-    price = disc * float(np.mean(payoff))
-    se = disc * float(np.std(payoff, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    return McCallEstimate(price=price, std_error=se, paths=paths, seed=seed)
+    mean, se = _mean_and_se(np.maximum(st - strike, 0.0))
+    return McCallEstimate(price=disc * mean, std_error=disc * se, paths=paths, seed=seed)

@@ -187,8 +187,8 @@ def _filter(x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _PENALTY = 1e10
 
 
-def _neg_loglik(params: np.ndarray, r: np.ndarray, jac: bool = False):
-    """Negative log-likelihood of the returns `r`; with `jac`, also its exact gradient.
+def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood of the returns `r` and its exact gradient.
 
     The value is _PENALTY (gradient zero) where the parameters are non-finite
     or not _admissible, or the sigma^2 path is not finite and positive.  The
@@ -198,7 +198,7 @@ def _neg_loglik(params: np.ndarray, r: np.ndarray, jac: bool = False):
     """
     x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
     mu0, phi, omega, a1, b1, nu = x
-    penalty = (_PENALTY, np.zeros(6)) if jac else _PENALTY
+    penalty = (_PENALTY, np.zeros(6))
     if not (all(map(math.isfinite, x)) and _admissible(omega, a1, b1, nu)):
         return penalty
     eps, eps2, s2 = _filter(x, r)
@@ -213,8 +213,6 @@ def _neg_loglik(params: np.ndarray, r: np.ndarray, jac: bool = False):
     ll = np.sum(const - 0.5 * np.log(s2) - 0.5 * (nu + 1) * log1p_u)
     if not math.isfinite(ll):
         return penalty
-    if not jac:
-        return -ll
     from scipy.signal import lfilter
 
     w = (nu + 1) * u / (1.0 + u)
@@ -275,7 +273,7 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     best_fun, best_x = math.inf, None
     for x0 in _starting_points(z):
         res = minimize(
-            _neg_loglik, x0, args=(z, True), jac=True, method="SLSQP",
+            _neg_loglik, x0, args=(z,), jac=True, method="SLSQP",
             bounds=_BOUNDS, constraints=[_STATIONARITY], options=dict(maxiter=500, ftol=1e-12),
         )
         fun = float(res.fun)
@@ -293,7 +291,7 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
 
 def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
     """Student-t conditional log-likelihood of the daily log-returns `series` under `params`."""
-    nll = _neg_loglik(params._vector(), series.returns)
+    nll = _neg_loglik(params._vector(), series.returns)[0]
     if nll == _PENALTY:
         raise InputError("likelihood undefined: sigma^2 path is not finite and positive for this series")
     return float(-nll)

@@ -244,6 +244,18 @@ def test_surface_records_failures_not_fatal():
     assert "non-positive mid" in surface.failures[0]
 
 
+def test_surface_records_duplicate_grid_point():
+    # build_surface: `failures.append(f"{label}: duplicate (moneyness, tau) grid point, skipped")`
+    qd = date(2015, 1, 2)
+    quote = OptionQuote(quote_date=qd, expiry_date=date(2015, 4, 2), strike=100.0,
+                        right="call", bid=9.0, ask=9.2)
+    chain = OptionChain(quote_date=qd, spot=100.0, quotes=(quote, quote))
+    vol = VolEstimate.from_daily("realized", 0.2 / math.sqrt(365.0), 252, qd)
+    surface = build_surface(chain, rate=0.02, vol=vol)
+    assert len(surface) == 1
+    assert surface.failures == ("expiry=2015-04-02 strike=100.0: duplicate (moneyness, tau) grid point, skipped",)
+
+
 def test_surface_requires_calls():
     qd = date(2015, 1, 2)
     put = OptionQuote(quote_date=qd, expiry_date=date(2015, 4, 2), strike=100.0,

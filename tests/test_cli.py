@@ -169,6 +169,19 @@ def test_simulate_large_sigma_reports_finite_numbers(capsys):
     assert float(row[2]) == -500000.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", ["1e140", "1e154"])
+def test_simulate_huge_sigma_ensemble_statistics_stay_finite(sigma, capsys):
+    # the log-returns' spread is rounding noise of size ulp(sigma^2 T): unscaled, its square
+    # overflows at sigma = 1e140, and at 1e154 the sum of the returns does
+    code, out, err = run_cli(capsys, "simulate", "--mu", "0", "--sigma", sigma,
+                             "--paths", "100", "--steps", "4", "--format", "json")
+    assert code == 0 and err == ""
+    doc = strict_json(out)
+    assert math.isfinite(doc["mean_log_drift"]) and math.isfinite(doc["std_error"])
+    assert doc["mean_log_drift"] == pytest.approx(doc["theoretical_drift"], rel=1e-12)
+
+
 def test_simulate_overflowing_sigma_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "simulate", "--mu", "0", "--sigma", "1e200",
                              "--paths", "100", "--steps", "4", "--format", "csv")
@@ -337,6 +350,24 @@ def test_surface_and_diff_flow(fixtures_dir, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["dp_min"] == 0.0 and doc["dp_max"] == 0.0
     assert diff_out.read_text().splitlines()[0] == "moneyness,tau_years,dp"
+
+
+def test_surface_notes_go_to_stderr(fixtures_dir, tmp_path, capsys):
+    # cmd_surface: `print(f"skipped: {note}", ...)` and `print(f"not calibrated: {note}", ...)`
+    chain = tmp_path / "chain.csv"
+    chain.write_text((fixtures_dir / "chain_2015_mimic.csv").read_text()
+                     + "2015-01-02,2015-04-17,300,call,9,8\n"     # ask below bid: skipped by the parser
+                     + "2015-01-02,2015-04-17,310,call,0,0\n")    # zero mid: not calibrated
+    code, out, err = run_cli(
+        capsys, "surface", "--chain", str(chain), "--spot", "206.38", "--rate", "0.0212",
+        "--method", "vix", "--vix", "15", "--out", str(tmp_path / "s.csv"), "--format", "json")
+    assert code == 0
+    assert err.splitlines() == [
+        "skipped: option chain line 54: ask 8.0 below bid 9.0",
+        "not calibrated: expiry=2015-04-17 strike=310.0: non-positive mid 0.0, skipped",
+    ]
+    summary = strict_json(out)
+    assert summary["points"] == 52 and summary["failures"] == 1
 
 
 def test_surface_requires_out(fixtures_dir, capsys):

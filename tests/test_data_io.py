@@ -84,6 +84,12 @@ def test_parse_chain_empty_file():
         parse_option_chain(io.StringIO(""), spot=100.0)
 
 
+def test_parse_chain_header_only():
+    # parse_option_chain: `raise ParseError(f"{what}: no data rows")`
+    with pytest.raises(ParseError, match="option chain: no data rows"):
+        parse_option_chain(io.StringIO("quote_date,expiry,strike,right,bid,ask\n"), spot=100.0)
+
+
 def test_parse_chain_majority_bad_rows_is_fatal():
     text = chain_text([
         "2015-01-02,2015-03-20,200,call,10.0,10.5",
@@ -308,6 +314,20 @@ def test_surface_read_rejects_bad_flag(tmp_path):
     text = out.read_text().replace("none", "sometimes").replace("at_minus_one", "sometimes").replace("at_plus_one", "sometimes")
     out.write_text(text)
     with pytest.raises(ParseError):
+        read_surface(out)
+
+
+def test_surface_read_rejects_p_out_of_range(tmp_path):
+    # CalibrationPoint: `raise InputError(f"calibrated p must be in [-1, 1], got {self.p}")`,
+    # which read_surface turns into `raise ParseError(f"{what} line {line_no}: {exc}")`
+    surface = PredictabilitySurface(
+        method="realized", spot=100.0, rate=0.02, as_of=date(2015, 1, 2),
+        points=(CalibrationPoint(moneyness=1.0, tau=0.25, p=0.5, clamped=ClampStatus.NONE,
+                                 market_price=4.0, model_price=4.0, residual=0.0),))
+    out = tmp_path / "surface.csv"
+    write_surface(surface, out)
+    out.write_text(out.read_text().replace(",0.5,", ",1.5,"))
+    with pytest.raises(ParseError, match=r"line 2: calibrated p must be in \[-1, 1\], got 1.5"):
         read_surface(out)
 
 

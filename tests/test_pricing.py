@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from predbs.errors import DegenerateInputError, InputError
+from predbs.errors import InputError
 from predbs.pricing import (
     PricingInputs,
     call_price,
@@ -57,6 +58,10 @@ def test_norm_cdf_complement_identity():
         assert norm_cdf(x) + norm_cdf(-x) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_norm_cdf_at_infinity():
+    assert norm_cdf(math.inf) == 1.0 and norm_cdf(-math.inf) == 0.0
+
+
 def test_norm_cdf_rejects_nan():
     with pytest.raises(InputError):
         norm_cdf(float("nan"))
@@ -105,8 +110,11 @@ def test_d_plus_minus_market_point():
 
 
 def test_d_plus_minus_degenerate():
-    with pytest.raises(DegenerateInputError):
-        d_plus_minus(PricingInputs(spot=100, strike=100, tau=1.0, rate=0.0, sigma=0.0, p=0.0))
+    # without diffusion both d's are the formula's limit, +inf only where the forward gap is positive
+    at_the_money = PricingInputs(spot=100, strike=100, tau=1.0, rate=0.0, sigma=0.0, p=0.0)
+    assert d_plus_minus(at_the_money) == (-math.inf, -math.inf)
+    assert d_plus_minus(PricingInputs(spot=120, strike=100, tau=0.0, rate=0.05, sigma=0.2)) == (math.inf, math.inf)
+    assert d_plus_minus(PricingInputs(spot=80, strike=100, tau=1.0, rate=0.05, sigma=0.0)) == (-math.inf, -math.inf)
 
 
 # ----------------------------------------------------------- call price
@@ -212,6 +220,25 @@ def test_parity_residual_grid():
         residual = c - p - inputs.spot * math.exp(-q * inputs.tau) \
             + inputs.strike * math.exp(-inputs.rate * inputs.tau)
         assert abs(residual) <= 1e-12 * max(1.0, inputs.spot)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    spot=st.floats(10.0, 1000.0),
+    moneyness=st.floats(0.5, 2.0),
+    tau=st.one_of(st.just(0.0), st.floats(1 / 365, 2.0)),
+    rate=st.floats(-0.01, 0.1),
+    # 10^-330 rounds to 0 and 10^-320 is subnormal; d_+- overflow to +-inf well before 1e-150
+    sigma=st.one_of(st.just(0.0), st.floats(-330.0, -150.0).map(lambda e: 10.0**e)),
+    p=st.floats(-1.0, 1.0),
+)
+def test_no_diffusion_limit_prices_and_parity(spot, moneyness, tau, rate, sigma, p):
+    inputs = PricingInputs(spot=spot, strike=spot / moneyness, tau=tau, rate=rate, sigma=sigma, p=p)
+    call, put = call_price(inputs).price, put_price(inputs).price
+    assert math.isfinite(call) and math.isfinite(put) and call >= 0.0 and put >= 0.0
+    fwd_spot = spot * math.exp(-inputs.dividend_yield * tau)
+    fwd_strike = inputs.strike * math.exp(-rate * tau)
+    assert abs((call - put) - (fwd_spot - fwd_strike)) <= 2 * math.ulp(max(fwd_spot, fwd_strike))
 
 
 @pytest.mark.parametrize("price_fn, inputs", [

@@ -204,6 +204,20 @@ def test_sim_config_validation():
         PathSimConfig(mu=0.0, sigma=1e200, alpha=0.0, s0=100, horizon=1.0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(mu=math.inf), "config values must be finite"),    # the all(map(math.isfinite, ...)) check
+    (dict(mu=math.nan), "config values must be finite"),
+    (dict(horizon=0.0), "horizon must be > 0"),               # `if self.horizon <= 0`
+    (dict(horizon=-1.0), "horizon must be > 0"),
+    (dict(steps=0), "steps and paths must be >= 1"),          # `if self.steps < 1 or self.paths < 1`
+    (dict(paths=0), "steps and paths must be >= 1"),
+])
+def test_sim_config_rejects_bad_mu_horizon_steps_paths(bad, message):
+    kw = dict(mu=0.0, sigma=0.2, alpha=0.0, s0=100.0, horizon=1.0, steps=4, paths=10)
+    with pytest.raises(InputError, match=message):
+        PathSimConfig(**{**kw, **bad})
+
+
 def test_ito_gbm_deterministic_limit():
     cfg = PathSimConfig(mu=0.05, sigma=0.0, alpha=0.0, s0=100.0, horizon=1.0,
                         steps=16, paths=50, seed=3)
@@ -311,6 +325,15 @@ def test_mc_call_monotone_in_p():
     hi = mc_risk_neutral_call(s0=100, strike=100, tau=1.0, rate=0.05, sigma=0.2,
                               p=-1.0, paths=20_000, seed=9)
     assert lo.price < hi.price
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.0, 0.5])
+def test_overflowing_sigma_squared_is_rejected_by_both_pricers(p):
+    # with sigma^2 = inf the MC drift r - p sigma^2 - sigma^2 / 2 is inf - inf at p = -0.5: a nan price
+    with pytest.raises(InputError, match=r"sigma\^2 overflows for sigma = 1e\+200"):
+        call_price(PricingInputs(spot=100, strike=100, tau=1.0, rate=0.05, sigma=1e200, p=p))
+    with pytest.raises(InputError, match=r"sigma\^2 overflows for sigma = 1e\+200"):
+        mc_risk_neutral_call(100, 100, 1.0, 0.05, 1e200, p, paths=10)
 
 
 def test_mc_call_input_validation():
