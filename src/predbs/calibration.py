@@ -65,9 +65,10 @@ def implied_excess_predictability(
 ) -> CalibrationPoint:
     """Solve model(p) = market_price for p in [-1, 1], clamping at the band edges.
 
-    Raises QuoteRejectedError when the quote sits outside even the
-    deterministic no-arbitrage band of the pricer (above S e^{sigma^2 tau},
-    or not a positive price).
+    Raises InputError for a bad scenario, whatever the quote, and
+    QuoteRejectedError when the quote sits outside even the deterministic
+    no-arbitrage band of the pricer (above S e^{sigma^2 tau}, or not a
+    positive price).
 
     The guarantee is on p: the root is within P_TOL + 8 ulp(1) |p| of the
     exact one, so the price residual is bounded by about
@@ -75,18 +76,15 @@ def implied_excess_predictability(
     sigma^2 tau S e^{-q tau} Phi(d_+) can be large, so the residual is not
     bounded by any fixed fraction of spot.
     """
-    # finiteness is checked before the sign of the price, so a non-finite
-    # input is an InputError even when the price is also non-positive
-    if not all(map(math.isfinite, (market_price, spot, strike, tau, rate, sigma))):
-        raise InputError("calibration inputs must be finite")
-    if market_price <= 0:
-        raise QuoteRejectedError(f"market price must be > 0, got {market_price}")
-
     def model(p: float) -> float:
         return call_price(PricingInputs(spot=spot, strike=strike, tau=tau,
                                         rate=rate, sigma=sigma, p=p)).price
 
-    hi = model(-1.0)   # p = -1 maximizes the call (negative dividend yield); validates the inputs
+    hi = model(-1.0)  # p = -1 maximizes the call (negative dividend yield); checks the scenario
+    if not math.isfinite(market_price):
+        raise InputError(f"market price must be finite, got {market_price}")
+    if market_price <= 0:
+        raise QuoteRejectedError(f"market price must be > 0, got {market_price}")
     if sigma * math.sqrt(tau) == 0.0:
         # price is p-independent without diffusion: the root is not identified
         raise InputError("implied p is not identifiable at sigma*sqrt(tau) == 0")

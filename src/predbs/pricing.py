@@ -9,6 +9,7 @@ classical formula.  sigma is annualized and tau is in years throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -26,6 +27,12 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _scaled_exp(x: float, y: float) -> float:
+    """x e^y as the pricer forms it, and inf where e^y alone would leave the float range."""
+    return x * math.exp(y) if y <= _LOG_MAX else math.inf
 
 
 def norm_cdf(x: float) -> float:
@@ -51,7 +58,9 @@ class PricingInputs:
     """One pricing scenario; p and sigma as dividend_yield_due_to_predictability admits them.
 
     sigma == 0 and tau == 0 are admitted so calibration grids may touch
-    expiry; the closed form then takes its no-diffusion limit.
+    expiry; the closed form then takes its no-diffusion limit.  The p = -1
+    forward S e^{sigma^2 tau} and the discounted strike K e^{-r tau} must be
+    finite floats: they bound every term of the closed form at any p.
     """
 
     spot: float
@@ -70,6 +79,10 @@ class PricingInputs:
         if self.tau < 0:
             raise InputError("tau must be >= 0")
         dividend_yield_due_to_predictability(self.p, self.sigma)
+        if (_scaled_exp(self.spot, self.sigma * self.sigma * self.tau) == math.inf
+                or _scaled_exp(self.strike, -self.rate * self.tau) == math.inf):
+            raise InputError("scenario out of the float range: S e^{sigma^2 tau} and "
+                             "K e^{-r tau} must be finite")
 
     @property
     def dividend_yield(self) -> float:
@@ -132,10 +145,16 @@ def put_price(inputs: PricingInputs) -> PriceResult:
 
 
 def dprice_dp(inputs: PricingInputs) -> float:
-    """Analytic dC/dp = -sigma^2 tau S e^{-p sigma^2 tau} Phi(d_+); -0.0 without diffusion."""
+    """Analytic dC/dp = -sigma^2 tau S e^{-p sigma^2 tau} Phi(d_+); -0.0 without diffusion.
+
+    Up to sigma^2 tau times the p = -1 forward, so it can overflow where the price does not.
+    """
     dp, _ = d_plus_minus(inputs)
     q = inputs.dividend_yield
-    return -inputs.sigma**2 * inputs.tau * inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(dp)
+    slope = -inputs.sigma**2 * inputs.tau * inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(dp)
+    if slope == -math.inf:
+        raise InputError("dC/dp overflows the float range")
+    return slope
 
 
 def pde_residual(inputs: PricingInputs, pde_p: float | None = None) -> float:

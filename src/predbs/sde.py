@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .pricing import PricingInputs, call_price, dividend_yield_due_to_predictability
+from .pricing import PricingInputs, call_price, _scaled_exp, dividend_yield_due_to_predictability
 
 __all__ = [
     "BrownianPath",
@@ -207,19 +207,19 @@ class PathBatch:
 
     def mean_log_return(self) -> tuple[float, float]:
         """Ensemble mean of ln(S_T / S_0) and its standard error."""
-        mean, se = _mean_and_se(self.log_return)
-        return mean, 0.0 if self.config.sigma == 0.0 else se  # no sampling error without diffusion
+        return _mean_and_se(self.log_return)
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean of x and its standard error std(ddof=1) / sqrt(n), 0 for n < 2 (pairwise sums).
+    """Sample mean of x and its standard error std(ddof=1) / sqrt(n), 0 without spread (pairwise sums).
 
+    Without spread (n = 1 included) there is no sampling error; std would show the mean's rounding.
     Taken on x scaled exactly by the power of two that brings max |x| into [1/2, 1): no overflow.
     """
     e = math.frexp(float(np.max(np.abs(x))))[1]
     y = np.ldexp(x, -e)
     mean = math.ldexp(float(np.mean(y)), e)
-    se = math.ldexp(float(np.std(y, ddof=1) / math.sqrt(y.size)), e) if y.size > 1 else 0.0
+    se = math.ldexp(float(np.std(y, ddof=1) / math.sqrt(y.size)), e) if np.ptp(y) > 0 else 0.0
     return mean, se
 
 
@@ -234,6 +234,9 @@ def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
     # path i owns row i of the Philox draw layout
     z = _philox(cfg.seed).standard_normal((cfg.paths, cfg.steps))
     return PathBatch(log_return=np.sum(inc_drift + inc_vol * z, axis=1), config=cfg)
+
+
+_log_exact = simulate_stratonovich_alpha  # the MC pricer's handle, untouched by wrappers of the public name
 
 
 @dataclass(frozen=True)
@@ -257,19 +260,16 @@ def mc_risk_neutral_call(
     """Discounted Monte Carlo call price under the risk-neutral drift r - p*sigma^2.
 
     The predictability dividend yield p*sigma^2 lowers the drift exactly like a
-    continuous dividend yield.  Terminal prices are sampled exactly (one normal
-    per path), so the estimate carries statistical error only.
+    continuous dividend yield.  S_T comes from the price simulator at alpha = 0
+    in one log-exact step, so the estimate carries statistical error only.
     """
     inputs = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p)
-    if tau <= 0:
-        raise InputError("tau must be > 0")
-    if paths < 1:
-        raise InputError("paths must be >= 1")
+    cfg = PathSimConfig(mu=rate - inputs.dividend_yield, sigma=sigma, alpha=0.0, s0=s0,
+                        horizon=tau, steps=1, paths=paths, seed=seed)
     if sigma == 0.0:  # no diffusion: the closed form is exact
         return McCallEstimate(price=call_price(inputs).price, std_error=0.0, paths=paths, seed=seed)
-    q = inputs.dividend_yield
+    if _scaled_exp(s0, cfg.mu * tau) == math.inf:  # E[(S_T - K)^+] is then past the float range too
+        raise InputError("risk-neutral forward s0 e^((r - q) tau) overflows the float range")
     disc = math.exp(-rate * tau)
-    z = _philox(seed).standard_normal(paths)
-    st = s0 * np.exp((rate - q - 0.5 * sigma * sigma) * tau + sigma * math.sqrt(tau) * z)
-    mean, se = _mean_and_se(np.maximum(st - strike, 0.0))
+    mean, se = _mean_and_se(np.maximum(_log_exact(cfg).terminal - strike, 0.0))
     return McCallEstimate(price=disc * mean, std_error=disc * se, paths=paths, seed=seed)

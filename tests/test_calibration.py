@@ -112,10 +112,10 @@ def test_zero_diffusion_not_identifiable():
 
 @pytest.mark.parametrize("args, error", [
     ((math.nan, 100.0, 100.0, 0.5, 0.03, 0.2), InputError),
-    ((-1.0, math.nan, 100.0, 0.5, 0.03, 0.2), InputError),       # finiteness before price sign
+    ((-1.0, math.nan, 100.0, 0.5, 0.03, 0.2), InputError),       # the scenario before the quote
     ((0.0, 100.0, 100.0, 0.5, 0.03, math.inf), InputError),
-    ((-1.0, -5.0, 100.0, 0.5, 0.03, 0.2), QuoteRejectedError),   # price sign before spot sign
-    ((0.0, 100.0, 100.0, -1.0, 0.03, 0.2), QuoteRejectedError),
+    ((-1.0, -5.0, 100.0, 0.5, 0.03, 0.2), InputError),           # spot sign before price sign
+    ((0.0, 100.0, 100.0, -1.0, 0.03, 0.2), InputError),
     ((5.0, -5.0, 100.0, 0.5, 0.03, 0.2), InputError),
     ((5.0, 100.0, 0.0, 0.5, 0.03, 0.2), InputError),              # validated before spot / strike
     ((5.0, 100.0, 100.0, -0.5, 0.03, 0.2), InputError),

@@ -308,6 +308,19 @@ def test_calibrate_rejected_quote(capsys):
     assert "no-arbitrage" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "--spot", "100", "--strike", "100", "--tau", "1", "--rate", "0.05",
+     "--sigma", "27", "--p", "-1"],
+    ["calibrate", "--market-price", "10", "--spot", "100", "--strike", "100", "--tau", "1",
+     "--rate", "0.05", "--sigma", "27"],
+], ids=lambda argv: argv[0])
+def test_scenario_past_the_float_range_is_domain_error(argv, capsys):
+    # S e^{sigma^2 tau} = 100 e^{729}: both exited with an OverflowError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "float range" in err
+
+
 # ------------------------------------------------------ surface / diff flow
 
 def test_surface_and_diff_flow(fixtures_dir, tmp_path, capsys):

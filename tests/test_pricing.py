@@ -241,6 +241,30 @@ def test_no_diffusion_limit_prices_and_parity(spot, moneyness, tau, rate, sigma,
     assert abs((call - put) - (fwd_spot - fwd_strike)) <= 2 * math.ulp(max(fwd_spot, fwd_strike))
 
 
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    spot=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    strike=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    tau=st.one_of(st.just(0.0), st.floats(1e-6, 100.0)),
+    rate=st.floats(-1e3, 1e3),
+    sigma=st.one_of(st.just(0.0), st.floats(-320.0, 200.0).map(lambda e: 10.0**e)),
+    p=st.floats(-1.0, 1.0),
+)
+def test_admitted_scenarios_price_finite(spot, strike, tau, rate, sigma, p):
+    # a scenario is rejected with InputError or priced: finite prices >= 0, and a finite
+    # dC/dp <= 0 unless dprice_dp itself reports the overflow as an InputError
+    try:
+        inputs = PricingInputs(spot=spot, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p)
+    except InputError:
+        return
+    assert 0.0 <= call_price(inputs).price < math.inf
+    assert 0.0 <= put_price(inputs).price < math.inf
+    try:
+        assert -math.inf < dprice_dp(inputs) <= 0.0
+    except InputError:
+        pass
+
+
 @pytest.mark.parametrize("price_fn, inputs", [
     # S e^{-q tau} Phi(d+) - K e^{-r tau} Phi(d-) cancels to -4.2e-322 deep out of the money
     (call_price, PricingInputs(spot=170.32048160633659, strike=243.8103773750866, tau=0.017463607167431644,
@@ -286,6 +310,14 @@ def test_dprice_dp_strictly_negative():
             sigma=rng.uniform(0.05, 0.5), p=rng.uniform(-0.9, 0.9),
         )
         assert dprice_dp(inputs) < 0.0
+
+
+def test_dprice_dp_overflow_is_an_input_error():
+    # the call is finite, but |dC/dp| = 18 S e^{18} Phi(d_+) passes the largest float
+    inputs = PricingInputs(spot=1e300, strike=1.0, tau=1.0, rate=0.0, sigma=math.sqrt(18.0), p=-1.0)
+    assert math.isfinite(call_price(inputs).price)
+    with pytest.raises(InputError, match="dC/dp overflows"):
+        dprice_dp(inputs)
 
 
 def test_dprice_dp_matches_finite_difference():
@@ -345,3 +377,18 @@ def test_pricing_inputs_validation():
         PricingInputs(spot=100, strike=100, tau=-0.5, rate=0.0, sigma=0.2, p=0.0)
     with pytest.raises(InputError):
         PricingInputs(spot=100, strike=100, tau=1.0, rate=float("inf"), sigma=0.2, p=0.0)
+
+
+@pytest.mark.parametrize("kw", [
+    # S e^{-q tau} = 100 e^{729}: math.exp raised a bare OverflowError
+    dict(spot=100, strike=100, tau=1.0, rate=0.05, sigma=27.0, p=-1.0),
+    # sigma^2 tau = inf: d_+- read inf - inf and norm_cdf raised on the nan
+    dict(spot=100, strike=100, tau=4.0, rate=0.05, sigma=1e154, p=1.0),
+    # K e^{-r tau} = inf: the put priced inf, the call inf - inf floored to 0
+    dict(spot=100, strike=100, tau=1.0, rate=-709.5, sigma=0.2, p=0.0),
+    # S e^{sigma^2 tau} = inf at p = -1: the call priced inf
+    dict(spot=1e300, strike=1, tau=1.0, rate=0.0, sigma=5.5, p=-1.0),
+])
+def test_scenario_past_the_float_range_is_rejected(kw):
+    with pytest.raises(InputError, match="float range"):
+        PricingInputs(**kw)

@@ -218,6 +218,15 @@ def test_sim_config_rejects_bad_mu_horizon_steps_paths(bad, message):
         PathSimConfig(**{**kw, **bad})
 
 
+def test_std_error_is_zero_without_spread():
+    # sigma sqrt(dt) z is below half an ulp of the drift step, so every path has the same
+    # log-return; std(ddof=1) of them measured only the rounding of the mean (2.2e-19)
+    cfg = PathSimConfig(mu=0.05, sigma=1e-20, alpha=0.0, s0=100.0, horizon=1.0, steps=4, paths=1000)
+    batch = simulate_stratonovich_alpha(cfg)
+    assert np.ptp(batch.log_return) == 0.0
+    assert batch.mean_log_return()[1] == 0.0
+
+
 def test_ito_gbm_deterministic_limit():
     cfg = PathSimConfig(mu=0.05, sigma=0.0, alpha=0.0, s0=100.0, horizon=1.0,
                         steps=16, paths=50, seed=3)
@@ -298,6 +307,21 @@ def test_mc_call_matches_closed_form():
     assert abs(est.price - exact) < 3.0 * est.std_error
 
 
+@pytest.mark.parametrize("s0, strike, tau, rate, sigma, p", [
+    (100.0, 100.0, 1.0, 0.05, 0.2, 0.0),
+    (100.0, 80.0, 0.25, 0.03, 0.7, -1.0),
+    (50.0, 65.0, 2.0, -0.01, 1.3, 0.6),
+])
+def test_mc_call_is_the_simulator_at_one_step(s0, strike, tau, rate, sigma, p):
+    est = mc_risk_neutral_call(s0, strike, tau, rate, sigma, p, paths=500, seed=7)
+    q = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p).dividend_yield
+    cfg = PathSimConfig(mu=rate - q, sigma=sigma, alpha=0.0, s0=s0, horizon=tau, steps=1, paths=500, seed=7)
+    payoff = np.maximum(simulate_stratonovich_alpha(cfg).terminal - strike, 0.0)
+    disc = math.exp(-rate * tau)
+    assert est.price == disc * float(np.mean(payoff))
+    assert est.std_error == disc * float(np.std(payoff, ddof=1) / math.sqrt(500))
+
+
 def test_mc_call_zero_sigma_exact():
     est = mc_risk_neutral_call(s0=100, strike=90, tau=2.0, rate=0.03, sigma=0.0,
                                p=0.0, paths=10, seed=1)
@@ -334,6 +358,17 @@ def test_overflowing_sigma_squared_is_rejected_by_both_pricers(p):
         call_price(PricingInputs(spot=100, strike=100, tau=1.0, rate=0.05, sigma=1e200, p=p))
     with pytest.raises(InputError, match=r"sigma\^2 overflows for sigma = 1e\+200"):
         mc_risk_neutral_call(100, 100, 1.0, 0.05, 1e200, p, paths=10)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(sigma=1e3, p=-1.0),    # sigma^2 tau = 1e6: an overflow warning, then an infinite price
+    dict(sigma=1e100, p=0.0),   # every S_T underflowed to 0: a silent price of 0.0
+    dict(rate=1000.0),          # the forward s0 e^{r tau} overflows in every path
+])
+def test_mc_call_rejects_scenarios_past_the_float_range(kw):
+    base = dict(s0=100, strike=100, tau=1.0, rate=0.05, sigma=0.2, p=0.0, paths=10)
+    with pytest.raises(InputError, match="float range"):
+        mc_risk_neutral_call(**{**base, **kw})
 
 
 def test_mc_call_input_validation():
