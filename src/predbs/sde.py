@@ -23,6 +23,7 @@ offset-rule SDE with parameter a is the plain SDE with drift mu + a*sigma^2.
 Randomness comes from counter-based Philox streams keyed by the config
 seed, with path i owning row i of a fixed (paths, steps) draw layout, so
 batches are bit-reproducible and independent of any internal parallelism.
+The simulator draws that layout in row blocks, in O(paths + block) memory.
 Ensemble means use numpy's pairwise summation (fixed reduction order).
 """
 
@@ -49,6 +50,8 @@ __all__ = [
     "simulate_stratonovich_alpha",
     "mc_risk_neutral_call",
 ]
+
+_BLOCK = 1 << 16  # normals the simulator draws at a time; blocks hold whole rows
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -227,13 +230,16 @@ def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
     """Simulate the offset-convention SDE: the plain SDE with drift mu + alpha*sigma^2.
 
     alpha = 0 is the left-point (Ito) SDE dS = mu S dt + sigma S dB.
+    The (paths, steps) draw comes in blocks of whole rows (path i owns row i): memory O(paths + block).
     """
     dt = cfg.horizon / cfg.steps
     inc_drift = cfg.log_drift * dt
     inc_vol = cfg.sigma * math.sqrt(dt)
-    # path i owns row i of the Philox draw layout
-    z = _philox(cfg.seed).standard_normal((cfg.paths, cfg.steps))
-    return PathBatch(log_return=np.sum(inc_drift + inc_vol * z, axis=1), config=cfg)
+    rng, rows, log_return = _philox(cfg.seed), max(1, _BLOCK // cfg.steps), np.empty(cfg.paths)
+    for i in range(0, cfg.paths, rows):
+        z = rng.standard_normal((min(rows, cfg.paths - i), cfg.steps))
+        log_return[i:i + rows] = np.sum(inc_drift + inc_vol * z, axis=1)
+    return PathBatch(log_return=log_return, config=cfg)
 
 
 _log_exact = simulate_stratonovich_alpha  # the MC pricer's handle, untouched by wrappers of the public name
@@ -264,12 +270,16 @@ def mc_risk_neutral_call(
     in one log-exact step, so the estimate carries statistical error only.
     """
     inputs = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p)
-    cfg = PathSimConfig(mu=rate - inputs.dividend_yield, sigma=sigma, alpha=0.0, s0=s0,
+    e = max(0, math.frexp(s0)[1])  # S_T, K in exact units of 2^e ~ s0: an S_T near the largest float stays finite
+    cfg = PathSimConfig(mu=rate - inputs.dividend_yield, sigma=sigma, alpha=0.0, s0=math.ldexp(s0, -e),
                         horizon=tau, steps=1, paths=paths, seed=seed)
     if sigma == 0.0:  # no diffusion: the closed form is exact
         return McCallEstimate(price=call_price(inputs).price, std_error=0.0, paths=paths, seed=seed)
     if _scaled_exp(s0, cfg.mu * tau) == math.inf:  # E[(S_T - K)^+] is then past the float range too
         raise InputError("risk-neutral forward s0 e^((r - q) tau) overflows the float range")
     disc = math.exp(-rate * tau)
-    mean, se = _mean_and_se(np.maximum(_log_exact(cfg).terminal - strike, 0.0))
-    return McCallEstimate(price=disc * mean, std_error=disc * se, paths=paths, seed=seed)
+    mean, se = _mean_and_se(np.maximum(_log_exact(cfg).terminal - math.ldexp(strike, -e), 0.0))
+    try:  # a draw far out in the tail may still carry the estimate past the float range
+        return McCallEstimate(math.ldexp(disc * mean, e), math.ldexp(disc * se, e), paths, seed)
+    except OverflowError:
+        raise InputError("Monte Carlo estimate overflows the float range") from None

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +263,33 @@ def test_alpha_sim_is_the_log_exact_scheme(alpha):
     assert np.array_equal(simulate_stratonovich_alpha(cfg).terminal, expected)
 
 
+@pytest.mark.parametrize("steps, paths", [   # the simulator draws blocks of 2^16 // steps rows
+    (252, 261),      # 260 rows a block: a ragged last block of one row
+    (252, 1040),     # exactly four blocks
+    (70001, 3),      # steps beyond the block: one row a block
+    (1, 131073),     # one step, more paths than the block: two full blocks and one row
+])
+def test_simulator_is_one_draw_in_row_blocks(steps, paths):
+    cfg = PathSimConfig(mu=0.07, sigma=0.3, alpha=0.4, s0=100.0, horizon=1.3,
+                        steps=steps, paths=paths, seed=steps)
+    dt = cfg.horizon / steps
+    z = np.random.Generator(np.random.Philox(key=steps)).standard_normal((paths, steps))
+    expected = np.sum(cfg.log_drift * dt + cfg.sigma * math.sqrt(dt) * z, axis=1)
+    assert simulate_stratonovich_alpha(cfg).log_return.tobytes() == expected.tobytes()
+
+
+def test_simulator_memory_does_not_grow_with_steps():
+    # one (4096, 4096) draw is 128 MB and its temporaries as much again; row blocks peak near 1 MB
+    cfg = PathSimConfig(mu=0.05, sigma=0.2, alpha=0.5, s0=100.0, horizon=1.0, steps=4096, paths=4096, seed=3)
+    tracemalloc.start()
+    try:
+        simulate_stratonovich_alpha(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("alpha,expected", [(1.0, 0.02), (0.5, 0.0)])
 def test_alpha_sim_drift_correction(alpha, expected):
     cfg = PathSimConfig(mu=0.0, sigma=0.2, alpha=alpha, s0=100.0, horizon=1.0,
@@ -369,6 +398,29 @@ def test_mc_call_rejects_scenarios_past_the_float_range(kw):
     base = dict(s0=100, strike=100, tau=1.0, rate=0.05, sigma=0.2, p=0.0, paths=10)
     with pytest.raises(InputError, match="float range"):
         mc_risk_neutral_call(**{**base, **kw})
+
+
+@pytest.mark.parametrize("k", [-900, -40, -1, 1, 30, 700])
+def test_mc_call_scales_exactly_with_a_power_of_two(k):
+    base = mc_risk_neutral_call(100.0, 90.0, 0.5, 0.03, 0.4, 0.2, paths=300, seed=5)
+    est = mc_risk_neutral_call(math.ldexp(100.0, k), math.ldexp(90.0, k), 0.5, 0.03, 0.4, 0.2, paths=300, seed=5)
+    assert (est.price, est.std_error) == (math.ldexp(base.price, k), math.ldexp(base.std_error, k))
+
+
+def test_mc_call_near_the_largest_float_is_finite():
+    # sampled S_T reach about e^4.5 times the forward 1e307: an unscaled payoff overflows to inf, its SE to nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_risk_neutral_call(1e307, 1e307, 1.0, 0.0, 1.0, 0.0, paths=100_000)
+    exact = call_price(PricingInputs(spot=1e307, strike=1e307, tau=1.0, rate=0.0, sigma=1.0, p=0.0)).price
+    assert math.isfinite(est.price) and math.isfinite(est.std_error)
+    assert abs(est.price - exact) < 4.0 * est.std_error
+
+
+def test_mc_estimate_past_the_float_range_is_an_input_error():
+    # an admitted scenario (S e^{sigma^2 tau} = 1.77e308) whose two-path sample mean exceeds the largest float
+    with pytest.raises(InputError, match="Monte Carlo estimate overflows the float range"):
+        mc_risk_neutral_call(6.5e307, 1e-300, 1.0, 0.0, 1.0, -1.0, paths=2, seed=1)
 
 
 def test_mc_call_input_validation():
