@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from .errors import InputError, QuoteRejectedError
 from .pricing import PricingInputs, call_price
 from .volatility import DAYS_PER_YEAR, VolEstimate
@@ -70,11 +68,15 @@ def implied_excess_predictability(
     no-arbitrage band of the pricer (above S e^{sigma^2 tau}, or not a
     positive price).
 
-    The guarantee is on p: the root is within P_TOL + 8 ulp(1) |p| of the
-    exact one, so the price residual is bounded by about
-    |dC/dp| (P_TOL + 8 ulp(1) |p|) plus the pricer's rounding.  |dC/dp| =
-    sigma^2 tau S e^{-q tau} Phi(d_+) can be large, so the residual is not
-    bounded by any fixed fraction of spot.
+    The guarantee is on p.  For a quote priced at p to a normal float C,
+    |p_hat - p| <= P_TOL + 8 ulp(1) |p| + 2 E(C) / |dC/dp|: P_TOL + 8 ulp(1) |p|
+    is Brent's tolerance, and E(C) = ulp(A) (1 + m(d_+) D) + ulp(B) (1 + m(d_-) D)
+    is the pricer's rounding of C = A - B, with A = S e^{-q tau} Phi(d_+),
+    B = K e^{-r tau} Phi(d_-), m(d) = phi(d) / Phi(d) and
+    D = (|ln(S/K)| + |(r - q) tau| + sigma^2 tau / 2) / (sigma sqrt(tau)).
+    The price residual is about |dC/dp| (P_TOL + 8 ulp(1) |p|) plus that
+    rounding; |dC/dp| = sigma^2 tau S e^{-q tau} Phi(d_+) can be large, so it
+    is not bounded by any fixed fraction of spot.
     """
     def model(p: float) -> float:
         return call_price(PricingInputs(spot=spot, strike=strike, tau=tau,
@@ -103,6 +105,8 @@ def implied_excess_predictability(
     if market_price < lo:
         return CalibrationPoint(moneyness, tau, +1.0, ClampStatus.AT_PLUS_ONE,
                                 market_price, lo, lo - market_price)
+
+    from scipy.optimize import brentq
 
     # model(p) - market changes sign over [-1, 1]; decreasing in p.
     f = lambda p: model(p) - market_price

@@ -151,7 +151,7 @@ def dprice_dp(inputs: PricingInputs) -> float:
     """
     dp, _ = d_plus_minus(inputs)
     q = inputs.dividend_yield
-    slope = -inputs.sigma**2 * inputs.tau * inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(dp)
+    slope = -inputs.sigma * inputs.sigma * inputs.tau * inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(dp)
     if slope == -math.inf:
         raise InputError("dC/dp overflows the float range")
     return slope

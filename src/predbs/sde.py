@@ -194,7 +194,8 @@ class PathSimConfig:
     @property
     def log_drift(self) -> float:
         """Drift of ln S per year: mu + alpha sigma^2 - sigma^2/2."""
-        return self.mu + self.alpha * self.sigma**2 - 0.5 * self.sigma**2
+        var = self.sigma * self.sigma
+        return self.mu + self.alpha * var - 0.5 * var
 
 
 @dataclass(frozen=True)

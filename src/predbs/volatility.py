@@ -20,8 +20,6 @@ from datetime import date
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import LinearConstraint, minimize
-from scipy.special import betaln, digamma
 
 from .errors import EstimationError, InputError
 
@@ -205,6 +203,8 @@ def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     s2 = s2[:-1]
     if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
         return penalty
+    from scipy.special import betaln, digamma
+
     # ln Gamma((nu+1)/2) - ln Gamma(nu/2) - ln sqrt(pi (nu-2)), with ln Gamma(1/2) = ln sqrt(pi):
     # betaln avoids the cancellation of the plain gammaln difference at large nu
     const = -betaln(nu / 2, 0.5) - 0.5 * math.log(nu - 2)
@@ -248,14 +248,19 @@ def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
 # inside the _admissible region and |phi| < 1.  nu has no upper bound:
 # near-Gaussian data put the optimum at nu in the millions.
 _BOUNDS = [(None, None), (-0.999999, 0.999999), (1e-12, None), (0.0, 1.0), (0.0, 1.0), (2.05 + 1e-9, None)]
-_STATIONARITY = LinearConstraint([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]], -np.inf, 0.999999 - 1e-9)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call; benchmark/tracing.py wraps this module attribute."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     """Maximize the Student-t conditional log-likelihood by multi-start SLSQP.
 
     Each start runs SLSQP with the analytic gradient of the likelihood (see
-    _neg_loglik) inside _BOUNDS and _STATIONARITY, on returns standardized to
+    _neg_loglik) inside _BOUNDS and `stationarity`, on returns standardized to
     unit variance so that every parameter is O(1) whatever the scale of the
     series.  The best optimum wins, ties broken by lowest start index; its
     reported log-likelihood is garch_log_likelihood at the returned parameters.
@@ -269,12 +274,14 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
         raise EstimationError("degenerate likelihood: series variance is (numerically) zero")
     sd = math.sqrt(var)
     z = series.returns / sd
+    from scipy.optimize import LinearConstraint
+    stationarity = LinearConstraint([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]], -np.inf, 0.999999 - 1e-9)
 
     best_fun, best_x = math.inf, None
     for x0 in _starting_points(z):
         res = minimize(
             _neg_loglik, x0, args=(z,), jac=True, method="SLSQP",
-            bounds=_BOUNDS, constraints=[_STATIONARITY], options=dict(maxiter=500, ftol=1e-12),
+            bounds=_BOUNDS, constraints=[stationarity], options=dict(maxiter=500, ftol=1e-12),
         )
         fun = float(res.fun)
         if fun < _PENALTY and fun < best_fun:

@@ -1,8 +1,11 @@
 import math
+import sys
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import log_ndtr
 
 from predbs.calibration import (
     P_TOL,
@@ -14,7 +17,7 @@ from predbs.calibration import (
 )
 from predbs.data_io import OptionChain, OptionQuote
 from predbs.errors import InputError, QuoteRejectedError
-from predbs.pricing import PricingInputs, call_price, dprice_dp
+from predbs.pricing import PricingInputs, call_price, d_plus_minus, dprice_dp, norm_cdf
 from predbs.volatility import VolEstimate
 
 
@@ -139,6 +142,44 @@ def test_residual_within_p_tolerance_bound(market_price, kw):
     slope = abs(dprice_dp(PricingInputs(p=pt.p, **kw)))
     rounding = 16 * math.ulp(max(kw["spot"] * math.exp(kw["sigma"] ** 2 * kw["tau"]), kw["strike"]))
     assert abs(pt.residual) <= slope * (P_TOL + 8 * math.ulp(1.0) * abs(pt.p)) + rounding
+
+
+def pricer_rounding(inputs):
+    """E(C) = ulp(A) (1 + m(d_+) D) + ulp(B) (1 + m(d_-) D) for C = A - B, m(d) = phi(d) / Phi(d).
+
+    A = S e^{-q tau} Phi(d_+) and B = K e^{-r tau} Phi(d_-) round to their ulp,
+    and an error of D ulp(1) in d moves Phi(d) by m(d) D ulp(1) relative.
+    """
+    s, k, tau, r, sigma = inputs.spot, inputs.strike, inputs.tau, inputs.rate, inputs.sigma
+    q = inputs.dividend_yield
+    dp, dm = d_plus_minus(inputs)
+    a = s * math.exp(-q * tau) * norm_cdf(dp)
+    b = k * math.exp(-r * tau) * norm_cdf(dm)
+    big_d = (abs(math.log(s) - math.log(k)) + abs((r - q) * tau) + 0.5 * sigma * sigma * tau) / (sigma * math.sqrt(tau))
+    mills = lambda d: math.exp(-0.5 * d * d - 0.5 * math.log(2 * math.pi) - float(log_ndtr(d)))
+    return math.ulp(a) * (1 + mills(dp) * big_d) + math.ulp(b) * (1 + mills(dm) * big_d)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    spot=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    moneyness=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+    tau=st.floats(1 / 365, 2.0),
+    rate=st.floats(-0.01, 0.1),
+    sigma=st.floats(0.01, 2.0),
+    p=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+)
+def test_round_trip_within_conditioning_bound(spot, moneyness, tau, rate, sigma, p):
+    # |p_hat - p| <= P_TOL + 8 ulp(1) |p| + 2 E(C) / |dC/dp|, the bound the solver's
+    # docstring states for every quote priced to a normal float; a subnormal
+    # Phi(d) is good only to 2^-1074 absolutely, an error E(C) does not count
+    inputs = PricingInputs(spot=spot, strike=spot / moneyness, tau=tau, rate=rate, sigma=sigma, p=p)
+    price = call_price(inputs).price
+    if price < sys.float_info.min:
+        return
+    pt = implied_excess_predictability(price, spot, spot / moneyness, tau, rate, sigma)
+    bound = P_TOL + 8 * math.ulp(1.0) * abs(p) + 2 * pricer_rounding(inputs) / abs(dprice_dp(inputs))
+    assert abs(pt.p - p) <= bound
 
 
 def test_expired_quote_recorded_as_failure_not_fatal():

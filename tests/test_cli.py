@@ -431,3 +431,24 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     probe = "import sys, predbs.cli; print('scipy.signal' in sys.modules, 'scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
     assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (None, ["scipy.optimize", "scipy.special", "scipy.linalg"]),
+    (["simulate", "--mu", "0.05", "--sigma", "0.2", "--paths", "100", "--steps", "4"], ["scipy.optimize"]),
+    (PRICE_ARGS, ["scipy.optimize"]),
+], ids=["import", "simulate", "price"])
+def test_cli_leaves_scipy_optimize_unloaded(argv, unloaded):
+    # scipy.optimize (about 0.2 s to import) and scipy.special are imported by
+    # the calibration solve and the GARCH fit only, so the rest of the CLI,
+    # the paper's simulation check included, starts without them
+    probe = (
+        "import contextlib, io, sys, predbs.cli\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert predbs.cli.main(argv) == 0\n"
+        f"print(*[m for m in {unloaded!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
+    assert proc.stdout.split() == []

@@ -1,13 +1,20 @@
 import gc
 import io
+import json
 import math
-from datetime import date
+import tempfile
+import warnings
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predbs.calibration import CalibrationPoint, ClampStatus, PredictabilitySurface
 from predbs.data_io import (
+    CHAIN_HEADER,
+    SURFACE_HEADER,
     OptionChain,
     OptionQuote,
     parse_option_chain,
@@ -17,7 +24,7 @@ from predbs.data_io import (
     write_surface_diff,
 )
 from predbs.calibration import SurfaceDiff
-from predbs.errors import DataQualityError, InputError, ParseError
+from predbs.errors import DataQualityError, InputError, ParseError, PredbsError
 
 
 # ------------------------------------------------------------ option chain
@@ -370,4 +377,78 @@ def test_parsers_total_over_hostile_text():
             try:
                 parser(blob)
             except ParseError:
+                pass
+
+
+_FIELD = st.one_of(
+    st.sampled_from(["", " ", "2015-13-01", "CALL", "1e309", "5e-324", "nan", "inf", "-inf", '"', '""',
+                     "\ufeff", "\x00"]),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+_JSON_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-1, 6), st.floats(), st.text(max_size=12),
+                        st.lists(st.text(max_size=4), max_size=2))
+_HEADERS = [",".join(h) for h in (
+    CHAIN_HEADER, ["date", "log_return"], ["date", "close"], SURFACE_HEADER,
+    ["note"] + CHAIN_HEADER, SURFACE_HEADER[::-1] + ["extra"],
+)]
+
+
+def _valid_cell(name, row):
+    if name in ("date", "quote_date"):  # ascending return dates, one chain date
+        return st.just((date(2015, 1, 2) + timedelta(days=row if name == "date" else 0)).isoformat())
+    return {
+        "expiry": st.sampled_from(["2015-01-02", "2015-03-20", "2016-01-15"]),
+        "right": st.sampled_from(["call", "put"]),
+        "clamped": st.sampled_from([flag.value for flag in ClampStatus]),
+        "p": st.floats(-1.0, 1.0).map(repr),
+        "log_return": st.floats(-0.1, 0.1).map(repr),
+    }.get(name, st.floats(0.0, 500.0).map(repr))
+
+
+@st.composite
+def _nearly_valid_files(draw):
+    """A well-formed chain, returns or surface file and sidecar with at most one field per row spoiled."""
+    header = draw(st.sampled_from(_HEADERS))
+    rows = []
+    for i in range(draw(st.integers(0, 5))):
+        row = [draw(_valid_cell(name, i)) for name in header.split(",")]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, len(row) - 1))
+            row[j:j + 1] = draw(st.lists(_FIELD, max_size=2))  # replaced, dropped or split
+        rows.append(",".join(row))
+    meta = {"method": "vix", "spot": 100.0, "rate": 0.02, "as_of": "2015-01-02", "points": len(rows),
+            "failures": []}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(meta)))
+        if draw(st.booleans()):
+            meta[key] = draw(_JSON_VALUE)
+        else:
+            del meta[key]
+    return "\n".join([header, *rows]).encode("utf-8", "surrogatepass"), json.dumps(meta).encode()
+
+
+_FILES = st.one_of(
+    _nearly_valid_files(),
+    st.tuples(st.binary(max_size=120), st.one_of(st.none(), st.binary(max_size=40))),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(files=_FILES)
+def test_parsers_total_on_arbitrary_files(files):
+    # every reader either returns or raises a PredbsError subclass, whatever the file holds
+    content, sidecar = files
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(content)
+        if sidecar is not None:
+            path.with_suffix(".json").write_bytes(sidecar)
+        for read in (lambda: parse_option_chain(path, spot=100.0), lambda: parse_return_series(path),
+                     lambda: read_surface(path)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # read_surface names unknown columns
+                    read()
+            except PredbsError:
                 pass
