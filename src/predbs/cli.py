@@ -279,10 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PredbsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PredbsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -225,7 +226,8 @@ def parse_return_series(source: Source) -> ReturnSeries:
     if mode == "closes":
         if len(values) < 3:
             raise ParseError(f"{what}: need >= 3 closes to form >= 2 returns")
-        returns = [math.log(b / a) for a, b in zip(values, values[1:])]
+        returns = [math.log(b / a) if sys.float_info.min <= b / a < math.inf else math.log(b) - math.log(a)
+                   for a, b in zip(values, values[1:])]  # ln(b / a) keeps the digits ln b - ln a loses for a ~ b
         dates = dates[1:]
     else:
         returns = values

@@ -24,7 +24,7 @@ Randomness comes from counter-based Philox streams keyed by the config
 seed, with path i owning row i of a fixed (paths, steps) draw layout, so
 batches are bit-reproducible and independent of any internal parallelism.
 The simulator draws that layout in row blocks, in O(paths + block) memory.
-Ensemble means use numpy's pairwise summation (fixed reduction order).
+Ensemble statistics are fixed-order block sums in O(block) memory; the MC pricer samples the forward.
 """
 
 from __future__ import annotations
@@ -215,16 +215,16 @@ class PathBatch:
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean of x and its standard error std(ddof=1) / sqrt(n), 0 without spread (pairwise sums).
+    """Mean of x and its standard error std(ddof=1) / sqrt(n), in two passes of fixed-order block sums.
 
     Without spread (n = 1 included) there is no sampling error; std would show the mean's rounding.
     Taken on x scaled exactly by the power of two that brings max |x| into [1/2, 1): no overflow.
     """
-    e = math.frexp(float(np.max(np.abs(x))))[1]
-    y = np.ldexp(x, -e)
-    mean = math.ldexp(float(np.mean(y)), e)
-    se = math.ldexp(float(np.std(y, ddof=1) / math.sqrt(y.size)), e) if np.ptp(y) > 0 else 0.0
-    return mean, se
+    e, blocks = math.frexp(float(max(x.max(), -x.min())))[1], range(0, x.size, _BLOCK)
+    mean = sum(float(np.sum(np.ldexp(x[i:i + _BLOCK], -e))) for i in blocks) / x.size
+    ss = sum(float(np.sum((np.ldexp(x[i:i + _BLOCK], -e) - mean) ** 2)) for i in blocks)
+    se = math.ldexp(math.sqrt(ss / (x.size - 1)) / math.sqrt(x.size), e) if np.ptp(x) > 0 else 0.0
+    return math.ldexp(mean, e), se
 
 
 def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
@@ -266,20 +266,21 @@ def mc_risk_neutral_call(
 ) -> McCallEstimate:
     """Discounted Monte Carlo call price under the risk-neutral drift r - p*sigma^2.
 
-    The predictability dividend yield p*sigma^2 lowers the drift exactly like a
-    continuous dividend yield.  S_T comes from the price simulator at alpha = 0
-    in one log-exact step, so the estimate carries statistical error only.
+    The predictability dividend yield p*sigma^2 lowers the drift exactly like a continuous dividend
+    yield.  S_T = F e^{sigma B_tau - sigma^2 tau/2} samples the forward F = s0 e^{(r - q) tau} through
+    the price simulator (mu = 0, s0 = 1, alpha = 0) in one log-exact step: statistical error only.
     """
     inputs = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p)
-    e = max(0, math.frexp(s0)[1])  # S_T, K in exact units of 2^e ~ s0: an S_T near the largest float stays finite
-    cfg = PathSimConfig(mu=rate - inputs.dividend_yield, sigma=sigma, alpha=0.0, s0=math.ldexp(s0, -e),
-                        horizon=tau, steps=1, paths=paths, seed=seed)
+    cfg = PathSimConfig(mu=0.0, sigma=sigma, alpha=0.0, s0=1.0, horizon=tau, steps=1, paths=paths, seed=seed)
     if sigma == 0.0:  # no diffusion: the closed form is exact
         return McCallEstimate(price=call_price(inputs).price, std_error=0.0, paths=paths, seed=seed)
-    if _scaled_exp(s0, cfg.mu * tau) == math.inf:  # E[(S_T - K)^+] is then past the float range too
+    fwd = _scaled_exp(s0, (rate - inputs.dividend_yield) * tau)
+    if fwd == math.inf:  # E[(S_T - K)^+] is then past the float range too
         raise InputError("risk-neutral forward s0 e^((r - q) tau) overflows the float range")
-    disc = math.exp(-rate * tau)
-    mean, se = _mean_and_se(np.maximum(_log_exact(cfg).terminal - math.ldexp(strike, -e), 0.0))
+    e, disc = math.frexp(max(fwd, strike))[1], math.exp(-rate * tau)
+    # S_T and K in exact units of 2^e ~ max(F, K): an S_T near the largest float and a K far past F stay finite
+    payoff = np.maximum(math.ldexp(fwd, -e) * _log_exact(cfg).terminal - math.ldexp(strike, -e), 0.0)
+    mean, se = _mean_and_se(payoff)
     try:  # a draw far out in the tail may still carry the estimate past the float range
         return McCallEstimate(math.ldexp(disc * mean, e), math.ldexp(disc * se, e), paths, seed)
     except OverflowError:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from predbs.calibration import CalibrationPoint, ClampStatus, PredictabilitySurface
 from predbs.data_io import (
@@ -164,6 +164,15 @@ def test_parse_returns_constant_closes():
     text = "date,close\n" + "\n".join(f"2015-01-{d:02d},50" for d in range(2, 9))
     series = parse_return_series(io.StringIO(text))
     assert np.all(series.returns == 0.0)
+
+
+@pytest.mark.parametrize("closes", [(100, 5e-324, 1), (1, 5e-324, 100), (1e5, 3e-317, 1e5)])
+def test_parse_returns_from_closes_whose_quotient_leaves_the_normal_range(closes):
+    # b / a underflows to 0, overflows to inf, or is subnormal (3e-322 holds 6 bits, so ln(b / a) is off by
+    # 4.6e-3): such a return is ln b - ln a
+    text = "date,close\n" + "".join(f"2015-01-0{2 + i},{c!r}\n" for i, c in enumerate(closes))
+    series = parse_return_series(io.StringIO(text))
+    assert series.returns.tolist() == [math.log(b) - math.log(a) for a, b in zip(closes, closes[1:])]
 
 
 def test_parse_returns_log_return_mode():
@@ -434,8 +443,14 @@ _FILES = st.one_of(
 )
 
 
+_CLOSES_PAST_THE_FLOAT_RANGE = "date,close\n2015-01-02,{}\n2015-01-03,5e-324\n2015-01-04,{}\n"
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(files=_FILES)
+# consecutive closes whose quotient underflows to 0 or overflows to inf, where ln(b / a) is undefined
+@example(files=(_CLOSES_PAST_THE_FLOAT_RANGE.format(100, 1).encode(), None))
+@example(files=(_CLOSES_PAST_THE_FLOAT_RANGE.format(1, 100).encode(), None))
 def test_parsers_total_on_arbitrary_files(files):
     # every reader either returns or raises a PredbsError subclass, whatever the file holds
     content, sidecar = files

@@ -9,7 +9,9 @@ from predbs.errors import InputError
 from predbs.sde import (
     BrownianPath,
     IntegrandPath,
+    PathBatch,
     PathSimConfig,
+    _mean_and_se,
     ito_integral,
     mc_risk_neutral_call,
     simulate_stratonovich_alpha,
@@ -290,6 +292,53 @@ def test_simulator_memory_does_not_grow_with_steps():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("n", [2, 500, 65_536])
+def test_statistic_of_one_block_is_numpys(n):
+    # up to one block of 2^16 values the block sums are np.mean's and np.std's pairwise sums
+    x = 0.3 * np.random.Generator(np.random.Philox(key=n)).standard_normal(n) + 0.05
+    assert _mean_and_se(x) == (float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n)))
+
+
+def test_statistic_memory_does_not_grow_with_paths():
+    # two passes over blocks hold one block (0.5 MB) at a time; one paths-long copy alone would be 7.6 MB
+    cfg = PathSimConfig(mu=0.0, sigma=0.2, alpha=0.0, s0=1.0, horizon=1.0, steps=1, paths=1_000_000)
+    batch = PathBatch(0.2 * np.random.Generator(np.random.Philox(key=5)).standard_normal(cfg.paths), cfg)
+    tracemalloc.start()
+    try:
+        mean, se = batch.mean_log_return()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    # past one block the sums are taken in another order: only the last digits may move
+    assert mean == pytest.approx(float(np.mean(batch.log_return)), rel=1e-12, abs=1e-15)
+    assert se == pytest.approx(float(np.std(batch.log_return, ddof=1)) / 1e3, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_log_return_is_the_offset_rule_stepped_directly(alpha):
+    # The offset rule S_{j+1} - S_j = mu S_j dt + sigma ((1-a) S_j + a S_{j+1}) dB_j solves step by step to
+    #     ln S_{j+1} - ln S_j = log1p(mu dt + (1-a) sigma dB_j) - log1p(-a sigma dB_j),
+    # an oracle that never forms log_drift. On the simulator's own Philox rows its paired mean difference
+    # from log_return is the scheme's bias: to fourth order in sigma dB (E dB^4 = 3 dt^2) it is, per step,
+    #     dt^2 (-mu^2/2 + mu (1-a)^2 sigma^2 + 3/4 sigma^4 (a^4 - (1-a)^4)) + O(dt^3),
+    # so over T / dt steps at most T dt (mu^2/2 + |mu| sigma^2 + 3/4 sigma^4) while sigma sqrt(dt) << 1
+    # (here 0.013). An error of 1% in log_drift's alpha sigma^2 term moves the mean by 4e-4 alpha.
+    mu, sigma, horizon, steps, paths, seed = 0.05, 0.2, 1.0, 252, 20_000, 61
+    cfg = PathSimConfig(mu=mu, sigma=sigma, alpha=alpha, s0=1.0, horizon=horizon, steps=steps, paths=paths,
+                        seed=seed)
+    dt, rows = horizon / steps, 1000
+    rng, oracle = np.random.Generator(np.random.Philox(key=seed)), np.empty(paths)
+    for i in range(0, paths, rows):  # row i of the simulator's (paths, steps) draw drives path i
+        db = math.sqrt(dt) * rng.standard_normal((rows, steps))
+        oracle[i:i + rows] = np.sum(np.log1p(mu * dt + (1 - alpha) * sigma * db) - np.log1p(-alpha * sigma * db),
+                                    axis=1)
+    diff = oracle - simulate_stratonovich_alpha(cfg).log_return
+    se = float(np.std(diff, ddof=1)) / math.sqrt(paths)
+    bias = horizon * dt * (mu**2 / 2 + abs(mu) * sigma**2 + 0.75 * sigma**4)
+    assert abs(float(np.mean(diff))) < 4.0 * se + bias
+
+
 @pytest.mark.parametrize("alpha,expected", [(1.0, 0.02), (0.5, 0.0)])
 def test_alpha_sim_drift_correction(alpha, expected):
     cfg = PathSimConfig(mu=0.0, sigma=0.2, alpha=alpha, s0=100.0, horizon=1.0,
@@ -342,9 +391,11 @@ def test_mc_call_matches_closed_form():
     (50.0, 65.0, 2.0, -0.01, 1.3, 0.6),
 ])
 def test_mc_call_is_the_simulator_at_one_step(s0, strike, tau, rate, sigma, p):
+    # the pricer samples the forward F = s0 e^{(r - q) tau}: S_T = F e^{sigma B_tau - sigma^2 tau / 2}
     est = mc_risk_neutral_call(s0, strike, tau, rate, sigma, p, paths=500, seed=7)
     q = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p).dividend_yield
-    cfg = PathSimConfig(mu=rate - q, sigma=sigma, alpha=0.0, s0=s0, horizon=tau, steps=1, paths=500, seed=7)
+    cfg = PathSimConfig(mu=0.0, sigma=sigma, alpha=0.0, s0=s0 * math.exp((rate - q) * tau), horizon=tau,
+                        steps=1, paths=500, seed=7)
     payoff = np.maximum(simulate_stratonovich_alpha(cfg).terminal - strike, 0.0)
     disc = math.exp(-rate * tau)
     assert est.price == disc * float(np.mean(payoff))
@@ -415,6 +466,32 @@ def test_mc_call_near_the_largest_float_is_finite():
     exact = call_price(PricingInputs(spot=1e307, strike=1e307, tau=1.0, rate=0.0, sigma=1.0, p=0.0)).price
     assert math.isfinite(est.price) and math.isfinite(est.std_error)
     assert abs(est.price - exact) < 4.0 * est.std_error
+
+
+def test_mc_call_with_a_forward_near_the_exp_limit_is_finite():
+    # the forward e^709 is finite, but s0 e^{(r - q) tau + sigma B_tau - sigma^2 tau / 2} passes exp's limit for
+    # z > 1.3: the pricer samples F e^{sigma B_tau - sigma^2 tau / 2}, whose exp stays near 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_risk_neutral_call(1.0, 1.0, 1.0, 709.0, 1.0, 0.0, paths=1000)
+    exact = call_price(PricingInputs(spot=1.0, strike=1.0, tau=1.0, rate=709.0, sigma=1.0, p=0.0)).price
+    assert math.isfinite(est.price) and math.isfinite(est.std_error)
+    assert abs(est.price - exact) < 4.0 * est.std_error
+
+
+def test_mc_call_far_out_of_the_money_is_zero_without_overflow():
+    # K / F = 1e400: in units of 2^e ~ F alone, K would leave the float range; in units ~ max(F, K) it is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_risk_neutral_call(1e-300, 1e100, 1.0, 0.05, 0.2, 0.0, paths=1000)
+    assert (est.price, est.std_error) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_mc_call_at_zero_horizon_is_rejected_whatever_sigma(sigma):
+    # the config is checked before the closed-form branch for sigma = 0
+    with pytest.raises(InputError, match="horizon must be > 0"):
+        mc_risk_neutral_call(100.0, 100.0, 0.0, 0.05, sigma, 0.0, paths=10)
 
 
 def test_mc_estimate_past_the_float_range_is_an_input_error():
