@@ -51,6 +51,8 @@ class CalibrationPoint:
     def __post_init__(self):
         if not -1.0 <= self.p <= 1.0:
             raise InputError(f"calibrated p must be in [-1, 1], got {self.p}")
+        if not 0.0 < self.moneyness < math.inf:
+            raise InputError(f"moneyness spot/strike must be finite and > 0, got {self.moneyness}")
 
 
 def implied_excess_predictability(
@@ -154,7 +156,7 @@ def build_surface(chain, rate: float, vol: VolEstimate) -> PredictabilitySurface
 
     Mid price is (bid+ask)/2, moneyness chain.spot/strike, tau calendar days
     to expiry / 365.  Quotes that cannot be calibrated (zero mids, rejected
-    prices) are recorded in `failures`, not fatal.
+    prices, a spot/strike outside the float range) are recorded in `failures`, not fatal.
     """
     if not math.isfinite(rate):
         raise InputError("risk_free_rate must be finite")

@@ -138,7 +138,7 @@ def vix_to_sigma(vix_quote: float) -> VolEstimate:
 
 def _admissible(omega: float, alpha1: float, beta1: float, nu: float) -> bool:
     """The model's parameter region: omega > 0, alpha1, beta1 >= 0, alpha1 + beta1 < 1
-    (covariance stationarity) and nu > 2 (finite variance); False for NaN."""
+    (covariance stationarity) and nu > 2 (finite variance; inf is the Gaussian limit); False for NaN."""
     return omega > 0 and alpha1 >= 0 and beta1 >= 0 and alpha1 + beta1 < 1 and nu > 2
 
 
@@ -162,11 +162,11 @@ class GarchParams:
         return self.omega / (1.0 - self.alpha1 - self.beta1)
 
     def _vector(self) -> np.ndarray:
-        return np.array([self.mean, self.ar1, self.omega, self.alpha1, self.beta1, self.nu])
+        return np.array([self.mean, self.ar1, self.omega, self.alpha1, self.beta1, 1.0 / self.nu])
 
 
 def _filter(x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, nu).
+    """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, eta).
 
     eps_t = r_t - mu0 - phi r_{t-1}; sigma^2_1 = mean(eps^2) and
     sigma^2_{t+1} = omega + a1 eps^2_t + b1 sigma^2_t, so the last entry is the
@@ -183,71 +183,80 @@ def _filter(x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _PENALTY = 1e10
+# ln Gamma(a + 1/2) - ln Gamma(a) - (ln a)/2 = sum_k _H[k] y^(2k+1), y = 1/(2a), to 1 ulp with its derivative at y <= 0.035
+_H = (-1 / 4, 1 / 24, -1 / 20, 17 / 112, -31 / 36, 691 / 88, -5461 / 52)
+
+
+def _t_constant(eta: float) -> tuple[float, float]:
+    """C = ln Gamma((nu+1)/2) - ln Gamma(nu/2) - ln sqrt(pi (nu-2)) = -ln(2 pi)/2 - log1p(-2 eta)/2 + H(nu/2) and dC/deta at
+    eta = 1/nu; H(a) = H(a+1) + log1p(1/a)/2 - log1p(1/(2a)), H'(a) = H'(a+1) + 1/(4a(a+1/2)(a+1)) carry a into _H's range."""
+    y, h, dh = eta, 0.0, 0.0
+    while y > 0.035:
+        a = 0.5 / y
+        h += 0.5 * math.log1p(1.0 / a) - math.log1p(y)
+        dh += 0.125 / (eta * eta * a * (a + 0.5) * (a + 1.0))  # -(dH/da) da/deta
+        y = 0.5 / (a + 1.0)
+    y2, s, ds = y * y, 0.0, 0.0
+    for k in reversed(range(len(_H))):
+        s, ds = s * y2 + _H[k], ds * y2 + (2 * k + 1) * _H[k]
+    q = y / eta if eta else 1.0  # d(shifted y)/d eta
+    return (-0.5 * math.log(2 * math.pi) - 0.5 * math.log1p(-2.0 * eta) + h + y * s,
+            1.0 / (1.0 - 2.0 * eta) - dh + q * q * ds)
 
 
 def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of the returns `r` and its exact gradient.
-
-    The value is _PENALTY (gradient zero) where the parameters are non-finite
-    or not _admissible, or the sigma^2 path is not finite and positive.  The
-    gradient is taken by the adjoint of the sigma^2 recursion: g_t, the total
-    derivative of the log-likelihood in sigma^2_t, obeys the same filter run
-    backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.
+    """Negative log-likelihood of the returns `r` at x = (mu0, phi, omega, a1, b1, eta = 1/nu), and its gradient:
+    ll_t = C(eta) - ln(sigma^2)/2 - (1 + eta) m R(eta m)/2, m = eps^2 / ((1 - 2 eta) sigma^2), R(u) = log1p(u)/u, R(0) = 1:
+    eta = 0 is the Gaussian limit, and nothing cancels near it.  The value is _PENALTY (gradient zero) where x is
+    non-finite or not _admissible, or the sigma^2 path is not finite and positive.  The gradient is exact:
+    g_t = d ll / d sigma^2_t obeys the sigma^2 filter run backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.
     """
     x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
-    mu0, phi, omega, a1, b1, nu = x
+    mu0, phi, omega, a1, b1, eta = x
     penalty = (_PENALTY, np.zeros(6))
-    if not (all(map(math.isfinite, x)) and _admissible(omega, a1, b1, nu)):
+    if not (all(map(math.isfinite, x)) and _admissible(omega, a1, b1, 1.0 / eta if eta else math.inf)):
         return penalty
     eps, eps2, s2 = _filter(x, r)
     s2 = s2[:-1]
     if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
         return penalty
-    from scipy.special import betaln, digamma
-
-    # ln Gamma((nu+1)/2) - ln Gamma(nu/2) - ln sqrt(pi (nu-2)), with ln Gamma(1/2) = ln sqrt(pi):
-    # betaln avoids the cancellation of the plain gammaln difference at large nu
-    const = -betaln(nu / 2, 0.5) - 0.5 * math.log(nu - 2)
-    u = eps2 / (s2 * (nu - 2))
+    const, dconst = _t_constant(eta)
+    d = (1.0 - 2.0 * eta) * s2
+    m = eps2 / d
+    u = eta * m
     log1p_u = np.log1p(u)
-    ll = np.sum(const - 0.5 * np.log(s2) - 0.5 * (nu + 1) * log1p_u)
+    ll = eps.size * const - 0.5 * np.sum(np.log(s2)) - 0.5 * (1.0 + eta) * np.dot(
+        m, np.divide(log1p_u, u, out=np.ones_like(u), where=u > 0))
     if not math.isfinite(ll):
         return penalty
     from scipy.signal import lfilter
-
-    w = (nu + 1) * u / (1.0 + u)
+    w = (1.0 + eta) * m / (1.0 + u)
     g = lfilter([1.0], [1.0, -b1], (0.5 * (w - 1.0) / s2)[::-1])[::-1]
-    # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t,
-    # and s2_init = mean(eps^2)
-    e = -(nu + 1) * eps / (s2 * (nu - 2) + eps2) + (2.0 * g[0] / eps.size) * eps
+    # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t, and s2_init = mean(eps^2)
+    e = -(1.0 + eta) * eps / (d + eta * eps2) + (2.0 * g[0] / eps.size) * eps
     e[:-1] += 2.0 * a1 * eps[:-1] * g[1:]
-    dconst = 0.5 * (digamma((nu + 1) / 2) - digamma(nu / 2) - 1.0 / (nu - 2))
+    # eta: -m^2 R'(u)/2 = (m/(2 + u))^2 (1/(1 + z) + z Q), z = u/(2 + u), Q = (atanh z - z)/z^3 or its series at small z
+    p = m / (2.0 + u)
+    z = eta * p
+    z2 = z * z
+    q = np.divide(0.5 * log1p_u - z, z2 * z, out=1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 / 9)), where=z > 0.025)
     grad = np.array([
         -np.sum(e),
         -np.dot(e, r[:-1]),
         np.sum(g[1:]),
         np.dot(eps2[:-1], g[1:]),
         np.dot(s2[:-1], g[1:]),
-        eps.size * dconst + np.sum(0.5 * w / (nu - 2) - 0.5 * log1p_u),
+        eps.size * dconst + np.dot(p * p, 1.0 / (1.0 + z) + z * q) - 1.5 * np.sum(w) / ((1.0 + eta) * (1.0 - 2.0 * eta)),
     ])
     return -ll, -grad
 
 
 def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
-    var = float(np.var(r_scaled))
-    mean = float(np.mean(r_scaled))
-    grid = [(0.05, 0.90), (0.10, 0.80), (0.02, 0.95), (0.15, 0.60), (0.05, 0.50)]
-    starts = []
-    for a0, b0 in grid:
-        starts.append(np.array([mean, 0.0, var * (1.0 - a0 - b0), a0, b0, 8.0]))
-    starts.append(np.array([mean, 0.0, var * 0.10, 0.05, 0.85, 5.0]))
-    return starts
+    return [np.array([float(np.mean(r_scaled)), 0.0, float(np.var(r_scaled)) * (1.0 - 0.05 - 0.90), 0.05, 0.90, 1 / 8])]
 
 
-# Feasible set of the gradient fit on (mu0, phi, omega, a1, b1, nu), strictly
-# inside the _admissible region and |phi| < 1.  nu has no upper bound:
-# near-Gaussian data put the optimum at nu in the millions.
-_BOUNDS = [(None, None), (-0.999999, 0.999999), (1e-12, None), (0.0, 1.0), (0.0, 1.0), (2.05 + 1e-9, None)]
+# The fit's feasible set: strictly inside _admissible, |phi| < 1, and the Gaussian limit eta = 0 included
+_BOUNDS = [(None, None), (-0.999999, 0.999999), (1e-12, None), (0.0, 1.0), (0.0, 1.0), (0.0, 1 / 2.05)]
 
 
 def minimize(*args, **kwargs):
@@ -257,18 +266,14 @@ def minimize(*args, **kwargs):
 
 
 def fit_ar_garch(series: ReturnSeries) -> GarchParams:
-    """Maximize the Student-t conditional log-likelihood by multi-start SLSQP.
-
-    Each start runs SLSQP with the analytic gradient of the likelihood (see
-    _neg_loglik) inside _BOUNDS and `stationarity`, on returns standardized to
-    unit variance so that every parameter is O(1) whatever the scale of the
-    series.  The best optimum wins, ties broken by lowest start index; its
-    reported log-likelihood is garch_log_likelihood at the returned parameters.
+    """Maximize the Student-t conditional log-likelihood by SLSQP from one start (restarted once if it fails).
+    SLSQP runs on eta = 1/nu with the exact gradient (see _neg_loglik) inside _BOUNDS and `stationarity`, on
+    returns standardized to unit variance so that every parameter is O(1).  A fit that ends at eta = 0 returns
+    nu = inf, the Gaussian limit.  The reported log-likelihood is garch_log_likelihood at the returned parameters.
     """
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
-    # variance floor; exactly-constant series leave rounding dust of order 1e-35
-    # in np.var, far below any real return series
+    # variance floor: exactly-constant series leave rounding dust of order 1e-35 in np.var, far below any real series
     var = float(np.var(series.returns))
     if var < 1e-20:
         raise EstimationError("degenerate likelihood: series variance is (numerically) zero")
@@ -277,22 +282,24 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     from scipy.optimize import LinearConstraint
     stationarity = LinearConstraint([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]], -np.inf, 0.999999 - 1e-9)
 
-    best_fun, best_x = math.inf, None
-    for x0 in _starting_points(z):
-        res = minimize(
-            _neg_loglik, x0, args=(z,), jac=True, method="SLSQP",
-            bounds=_BOUNDS, constraints=[stationarity], options=dict(maxiter=500, ftol=1e-12),
-        )
-        fun = float(res.fun)
-        if fun < _PENALTY and fun < best_fun:
-            best_fun, best_x = fun, res.x
+    seen = [_PENALTY, *_starting_points(z)]  # the lowest value SLSQP evaluated, and where
 
-    if best_x is None:
-        raise EstimationError("all optimizer starts failed")
+    def nll(x, r):
+        value, grad = _neg_loglik(x, r)
+        if value < seen[0]:
+            seen[:] = value, x.copy()
+        return value, grad
 
-    mu0, phi, omega, a1, b1, nu = best_x * np.array([sd, 1.0, var, 1.0, 1.0, 1.0])  # back to returns
+    for _ in range(2):  # a run that does not converge restarts once, from the best point it evaluated
+        if minimize(nll, seen[1], args=(z,), jac=True, method="SLSQP", bounds=_BOUNDS,
+                    constraints=[stationarity], options=dict(maxiter=500, ftol=1e-12)).success:
+            break
+    if seen[0] >= _PENALTY:
+        raise EstimationError("the optimizer found no parameters with a finite likelihood")
+
+    mu0, phi, omega, a1, b1, eta = seen[1] * np.array([sd, 1.0, var, 1.0, 1.0, 1.0])  # back to returns
     params = GarchParams(ar1=float(phi), mean=float(mu0), omega=float(omega),
-                         alpha1=float(a1), beta1=float(b1), nu=float(nu))
+                         alpha1=float(a1), beta1=float(b1), nu=float(1.0 / eta) if eta > 0 else math.inf)
     return replace(params, log_likelihood=garch_log_likelihood(params, series))
 
 
@@ -315,7 +322,7 @@ def garch_forecast_vol(params: GarchParams, series: ReturnSeries) -> VolEstimate
 def simulate_ar_garch(params: GarchParams, n: int, seed: int, start: Optional[date] = None) -> ReturnSeries:
     """Simulate the AR-GARCH process from its stationary level (oracle for re-estimation tests).
 
-    The first 500 draws are burn-in and discarded.  The AR(1) mean needs |ar1| < 1.
+    The first 500 draws are burn-in and discarded.  The AR(1) mean needs |ar1| < 1; nu = inf draws normals.
     """
     if n < 2:
         raise InputError("n must be >= 2")
@@ -323,7 +330,8 @@ def simulate_ar_garch(params: GarchParams, n: int, seed: int, start: Optional[da
         raise InputError(f"simulation needs a stationary AR(1) mean, |ar1| < 1, got ar1={params.ar1}")
     burn = 500
     rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_t(params.nu, size=n + burn) * math.sqrt((params.nu - 2.0) / params.nu)
+    z = (rng.standard_normal(n + burn) if math.isinf(params.nu)
+         else rng.standard_t(params.nu, size=n + burn) * math.sqrt((params.nu - 2.0) / params.nu))
     out = np.empty(n + burn)
     s2 = params.unconditional_variance
     prev_r = params.mean / (1.0 - params.ar1)

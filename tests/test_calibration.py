@@ -91,9 +91,9 @@ def test_quote_rejected_nonpositive():
         implied_excess_predictability(-3.0, **BASE)
 
 
-@pytest.mark.parametrize("spot, strike", [(1e-300, 1e300), (1e300, 1e-300)])
+@pytest.mark.parametrize("spot, strike", [(1e-150, 1e150), (1e150, 1e-150)])
 def test_extreme_moneyness_calibrates(spot, strike):
-    # spot / strike under- or overflows; the deep in-the-money call still identifies p
+    # spot / strike is 1e-300 or 1e300; the deep in-the-money call still identifies p
     kw = dict(spot=spot, strike=strike, tau=1.0, rate=0.05, sigma=0.2)
     if spot > strike:
         point = implied_excess_predictability(call_price(PricingInputs(p=0.3, **kw)).price, **kw)
@@ -102,6 +102,24 @@ def test_extreme_moneyness_calibrates(spot, strike):
     else:  # every model price underflows to 0: any positive quote clamps at p = -1
         point = implied_excess_predictability(1e-301, **kw)
         assert point.clamped is ClampStatus.AT_MINUS_ONE and point.model_price == 0.0
+    assert point.moneyness == spot / strike
+
+
+@pytest.mark.parametrize("spot, strike", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_moneyness_outside_the_float_range_is_refused(spot, strike):
+    # spot / strike underflows to 0 or overflows to inf: a surface could not hold or write the point
+    with pytest.raises(InputError, match="moneyness spot/strike must be finite and > 0"):
+        implied_excess_predictability(1e-301 if spot < strike else 1.0, spot, strike, 1.0, 0.05, 0.2)
+
+
+def test_quote_whose_moneyness_overflows_is_a_surface_failure():
+    qd = date(2015, 1, 2)
+    quotes = tuple(OptionQuote(quote_date=qd, expiry_date=date(2016, 1, 2), strike=strike,
+                               right="call", bid=bid, ask=bid) for strike, bid in ((1e300, 1e299), (1e-300, 1e300)))
+    chain = OptionChain(quote_date=qd, spot=1e300, quotes=quotes)
+    surface = build_surface(chain, rate=0.02, vol=VolEstimate.from_daily("vix", 0.2 / math.sqrt(365.0)))
+    assert [pt.moneyness for pt in surface.points] == [1.0]
+    assert len(surface.failures) == 1 and "moneyness" in surface.failures[0]
 
 
 def test_zero_diffusion_not_identifiable():

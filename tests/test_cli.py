@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from predbs.cli import main
+from predbs.data_io import read_surface
 from predbs.pricing import PricingInputs, call_price
 
 
@@ -292,12 +293,28 @@ def test_calibrate_round_trip(capsys):
     assert doc["clamped"] == "none"
 
 
-def test_calibrate_json_writes_infinite_moneyness_as_string(capsys):
-    code, out, _ = run_cli(capsys, "calibrate", "--market-price", "1", "--spot", "1e300",
-                           "--strike", "1e-300", "--tau", "1", "--rate", "0.05",
-                           "--sigma", "0.2", "--format", "json")
-    assert code == 0
-    assert strict_json(out)["moneyness"] == "inf"
+def test_calibrate_refuses_a_moneyness_that_overflows(capsys):
+    code, out, err = run_cli(capsys, "calibrate", "--market-price", "1", "--spot", "1e300",
+                             "--strike", "1e-300", "--tau", "1", "--rate", "0.05",
+                             "--sigma", "0.2", "--format", "json")
+    assert code == 1 and out == ""
+    assert err == "error: moneyness spot/strike must be finite and > 0, got inf\n"
+
+
+def test_surface_leaves_out_a_quote_whose_moneyness_overflows(tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("quote_date,expiry,strike,right,bid,ask\n"
+                     "2015-01-02,2016-01-02,1e300,call,1e299,1e299\n"
+                     "2015-01-02,2016-01-02,1e-300,call,1e300,1e300\n")
+    out_csv = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "surface", "--chain", str(chain), "--spot", "1e300", "--rate", "0.02",
+                             "--method", "vix", "--vix", "20", "--out", str(out_csv), "--format", "json")
+    assert code == 0, err
+    assert "moneyness spot/strike must be finite and > 0, got inf" in err
+    assert strict_json(out)["points"] == 1 and strict_json(out)["failures"] == 1
+    rows = out_csv.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("1,") and "inf" not in out_csv.read_text()
+    assert len(read_surface(out_csv)) == 1
 
 
 def test_calibrate_rejected_quote(capsys):

@@ -347,6 +347,25 @@ def test_surface_read_rejects_p_out_of_range(tmp_path):
         read_surface(out)
 
 
+@pytest.mark.parametrize("moneyness, accepted", [
+    ("inf", False), ("0", False), ("-1", False), ("1.7976931348623157e+308", True), ("5e-324", True),
+])
+def test_surface_read_takes_only_finite_positive_moneyness(tmp_path, moneyness, accepted):
+    # CalibrationPoint refuses a moneyness that is not finite and > 0; read_surface reports the row
+    surface = PredictabilitySurface(
+        method="realized", spot=100.0, rate=0.02, as_of=date(2015, 1, 2),
+        points=(CalibrationPoint(moneyness=1.25, tau=0.25, p=0.5, clamped=ClampStatus.NONE,
+                                 market_price=4.0, model_price=4.0, residual=0.0),))
+    out = tmp_path / "surface.csv"
+    write_surface(surface, out)
+    out.write_text(out.read_text().replace("\n1.25,", f"\n{moneyness},"))
+    if accepted:
+        assert read_surface(out).points[0].moneyness == float(moneyness)
+    else:
+        with pytest.raises(ParseError, match="line 2: moneyness spot/strike must be finite and > 0"):
+            read_surface(out)
+
+
 def test_write_surface_diff(tmp_path):
     diff = SurfaceDiff(base_method="realized", other_method="vix",
                        points=((1.0, 0.25, 0.125), (1.05, 0.25, -0.5)))

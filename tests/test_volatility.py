@@ -1,9 +1,11 @@
 import math
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predbs.errors import EstimationError, InputError
 from predbs.volatility import (
@@ -21,7 +23,7 @@ from predbs.volatility import (
     variance_risk_premium,
     vix_to_sigma,
 )
-from predbs.volatility import _filter, _neg_loglik, _starting_points
+from predbs.volatility import _BOUNDS, _admissible, _filter, _neg_loglik, _starting_points, _t_constant
 
 
 def make_series(returns):
@@ -150,6 +152,8 @@ def test_garch_params_validation():
         GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=1.5)
     with pytest.raises(InputError):
         GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=math.nan)
+    # nu = inf is the Gaussian limit, eta = 1/nu = 0 in the likelihood's coordinates
+    assert GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=math.inf)._vector()[5] == 0.0
 
 
 @pytest.mark.parametrize("ar1", [1.0, -1.0, 1.5])
@@ -190,24 +194,39 @@ def test_garch_stored_log_likelihood_consistent():
         garch_log_likelihood(fitted, series), rel=1e-12)
 
 
+# (alpha1, beta1, omega / variance, nu) of the six starts the fit used to take the best of
+SIX_STARTS = [(0.05, 0.90, 1.0 - 0.05 - 0.90, 8.0), (0.10, 0.80, 1.0 - 0.10 - 0.80, 8.0),
+              (0.02, 0.95, 1.0 - 0.02 - 0.95, 8.0), (0.15, 0.60, 1.0 - 0.15 - 0.60, 8.0),
+              (0.05, 0.50, 1.0 - 0.05 - 0.50, 8.0), (0.05, 0.85, 0.10, 5.0)]
+
+
 def test_garch_fit_beats_every_start():
+    from scipy.optimize import LinearConstraint, minimize
+
     series = simulate_ar_garch(TRUE_PARAMS, n=2_000, seed=5)
     fitted = fit_ar_garch(series)
     sd = math.sqrt(np.var(series.returns))
     r_scaled = series.returns / sd
     fitted_scaled = np.array([
-        fitted.mean / sd, fitted.ar1, fitted.omega / sd**2, fitted.alpha1, fitted.beta1, fitted.nu,
+        fitted.mean / sd, fitted.ar1, fitted.omega / sd**2, fitted.alpha1, fitted.beta1, 1 / fitted.nu,
     ])
     best_nll = _neg_loglik(fitted_scaled, r_scaled)[0]
-    for start in _starting_points(r_scaled):
-        assert best_nll <= _neg_loglik(start, r_scaled)[0] + 1e-9
+    (start,) = _starting_points(r_scaled)
+    assert best_nll <= _neg_loglik(start, r_scaled)[0]
+    var, mean = float(np.var(r_scaled)), float(np.mean(r_scaled))
+    stationarity = LinearConstraint([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]], -np.inf, 0.999999 - 1e-9)
+    for a0, b0, omega0, nu0 in SIX_STARTS:
+        res = minimize(_neg_loglik, np.array([mean, 0.0, var * omega0, a0, b0, 1 / nu0]), args=(r_scaled,),
+                       jac=True, method="SLSQP", bounds=_BOUNDS, constraints=[stationarity],
+                       options=dict(maxiter=500, ftol=1e-12))
+        assert best_nll <= res.fun + 1e-9, (a0, b0, nu0)
 
 
 @pytest.mark.parametrize("x", [
-    [0.03, 0.0, 0.02, 0.08, 0.90, 6.0],         # interior
-    [0.03, 0.0, 0.002, 0.10, 0.89999, 6.0],     # alpha1 + beta1 -> 1
-    [0.03, 0.0, 0.05, 0.10, 0.85, 2.0501],      # nu near the fit's 2.05 bound
-    [-0.02, 0.35, 0.03, 0.12, 0.80, 9.0],       # phi != 0
+    [0.03, 0.0, 0.02, 0.08, 0.90, 1 / 6],         # interior
+    [0.03, 0.0, 0.002, 0.10, 0.89999, 1 / 6],     # alpha1 + beta1 -> 1
+    [0.03, 0.0, 0.05, 0.10, 0.85, 1 / 2.0501],    # nu near the fit's 2.05 bound
+    [-0.02, 0.35, 0.03, 0.12, 0.80, 1 / 9],       # phi != 0
 ])
 def test_neg_loglik_gradient_matches_central_difference(x):
     r = standardized(simulate_ar_garch(
@@ -224,7 +243,7 @@ def test_neg_loglik_gradient_matches_central_difference(x):
 
 def test_neg_loglik_gradient_is_zero_at_penalty():
     r = standardized(simulate_ar_garch(TRUE_PARAMS, n=300, seed=4))
-    value, grad = _neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 6.0]), r)
+    value, grad = _neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 1 / 6]), r)
     assert value == 1e10
     assert not np.any(grad)
 
@@ -261,14 +280,69 @@ def test_log_likelihood_rejects_a_zero_variance_path():
         garch_log_likelihood(GarchParams(ar1=0.0, mean=0.001, omega=1e-6, alpha1=0.08, beta1=0.9, nu=6.0), series)
 
 
-@pytest.mark.parametrize("nu", [1e7, 2.5e8, 1e12])
+@pytest.mark.parametrize("nu", [1e7, 2.5e8, 1e12, math.inf])
 def test_student_t_constant_at_large_nu(nu):
-    # ln Gamma(a + 1/2) - ln Gamma(a) = 0.5 ln a - 1/(8a) + 1/(192 a^3) + O(a^-5), a = nu/2
-    a = nu / 2
     r = np.array([0.0, 1.0])  # one residual eps = 1, with sigma^2 = mean(eps^2) = 1
-    rest = -0.5 * math.log(math.pi * (nu - 2)) - 0.5 * (nu + 1) * math.log1p(1 / (nu - 2))
-    ll = -_neg_loglik(np.array([0.0, 0.0, 0.1, 0.1, 0.8, nu]), r)[0]
-    assert ll == pytest.approx(0.5 * math.log(a) - 1 / (8 * a) + 1 / (192 * a**3) + rest, rel=0, abs=1e-14)
+    ll = -_neg_loglik(np.array([0.0, 0.0, 0.1, 0.1, 0.8, 1 / nu]), r)[0]
+    if math.isinf(nu):  # the Gaussian limit: -ln(2 pi)/2 - eps^2 / (2 sigma^2)
+        expected = -0.5 * math.log(2 * math.pi) - 0.5
+    else:  # ln Gamma(a + 1/2) - ln Gamma(a) = 0.5 ln a - 1/(8a) + 1/(192 a^3) + O(a^-5), a = nu/2
+        a = nu / 2
+        rest = -0.5 * math.log(math.pi * (nu - 2)) - 0.5 * (nu + 1) * math.log1p(1 / (nu - 2))
+        expected = 0.5 * math.log(a) - 1 / (8 * a) + 1 / (192 * a**3) + rest
+    assert ll == pytest.approx(expected, rel=0, abs=1e-14)
+
+
+# (eta, C, dC/deta) of C(eta) = ln Gamma((nu+1)/2) - ln Gamma(nu/2) - ln sqrt(pi (nu-2)), eta = 1/nu,
+# computed with mpmath at 70 digits or more (loggamma and digamma); the series cutoff is at eta = 0.035
+T_CONSTANT = [
+    (0.0, -0.9189385332046728, 0.75),
+    (1e-300, -0.9189385332046728, 0.75),
+    (1e-12, -0.9189385332039227, 0.750000000002),
+    (0.0001, -0.9188635232032976, 0.7502000412580015),
+    (0.01, -0.9113371378842449, 0.7704206607663678),
+    (0.0349, -0.8914839334983461, 0.825189508582914),
+    (0.0351, -0.8913188491811519, 0.8256537313071163),
+    (0.07, -0.8610128794889834, 0.9133973159355933),
+    (0.2, -0.7132067771717288, 1.4213204860013673),
+    (0.4, -0.2119206372433997, 4.765856290865231),
+    (0.48, 0.57427915428942, 24.771211920515036),
+    (1 / 2.05, 0.8198437023137695, 40.77174783418552),
+]
+
+
+@pytest.mark.parametrize("eta, c, dc", T_CONSTANT)
+def test_student_t_constant_matches_a_40_digit_reference(eta, c, dc):
+    value, slope = _t_constant(eta)
+    assert value == pytest.approx(c, rel=1e-14, abs=0)
+    assert slope == pytest.approx(dc, rel=1e-14, abs=0)
+
+
+# (eta, value, gradient) of _neg_loglik at (0.05, 0.2, 0.1, 0.1, 0.8, eta) on LIKELIHOOD_RETURNS, computed
+# with mpmath at 80 digits: the likelihood written with loggamma, the gradient by mpmath.diff, and at
+# eta = 0 the Gaussian limit with the eta-derivative sum_t (3/4 + m_t^2/4 - 3 m_t/2), m_t = eps_t^2 / sigma_t^2
+LIKELIHOOD_RETURNS = np.array([0.3, -1.2, 0.8, 2.5, -0.4, 0.05, -1.9, 1.1, 0.6, -0.7])
+LIKELIHOOD = [
+    (0.0, 15.428855433513299, [-0.027943028395399364, 2.5115426121077773, -0.5270726132745419, 1.1578185171611, -1.0060856977901416, 2.7223486466133444]),
+    (1e-09, 15.428855436235647, [-0.027943026694839366, 2.5115426195846657, -0.5270726193403292, 1.1578185043792812, -1.006085707670341, 2.7223486539457737]),
+    (0.001, 15.4315814560684, [-0.026242611286144076, 2.5190258645712817, -0.5331460694964029, 1.1450215534590928, -1.0159784371326115, 2.729704172709096]),
+    (0.0349, 15.528681499464307, [0.03135469236432481, 2.7807319013445158, -0.7484578727631751, 0.6925278069865805, -1.3667436072957095, 3.009130332674541]),
+    (0.0351, 15.529283509411096, [0.03169492926602893, 2.78232509766528, -0.7497846195024614, 0.6897458961734884, -1.368905303539853, 3.010969543626933]),
+    (0.125, 15.84626959837056, [0.18793721145798167, 3.570981992544283, -1.4247479952976154, -0.7186025149086629, -2.468924175494068, 4.1651644635612595]),
+    (0.3, 17.057295758709824, [0.5265870281382516, 5.7739538194652615, -3.454768606232464, -4.917814636667901, -5.778654915288159, 11.772560024585486]),
+    (0.48, 26.637389774933624, [-2.3562522938856763, 8.515667587640527, -9.446387840920655, -17.37388013663504, -15.547059905908725, 289.0011654332134]),
+]
+
+
+@pytest.mark.parametrize("eta, value, grad", LIKELIHOOD)
+def test_neg_loglik_matches_a_40_digit_reference(eta, value, grad):
+    got, got_grad = _neg_loglik(np.array([0.05, 0.2, 0.1, 0.1, 0.8, eta]), LIKELIHOOD_RETURNS)
+    grad = np.array(grad)
+    assert got == pytest.approx(value, rel=1e-14, abs=0)
+    # the mu0 entry sums terms of both signs, so the gradient is held to 1e-14 of its largest entry;
+    # the eta entry, where the cancellation near nu = inf used to be, to 1e-14 of itself
+    assert np.max(np.abs(got_grad - grad)) <= 1e-14 * np.max(np.abs(grad))
+    assert got_grad[5] == pytest.approx(grad[5], rel=1e-14, abs=0)
 
 
 def test_garch_fit_reaches_the_golden_optimum():
@@ -407,3 +481,63 @@ def test_vrp_antisymmetry():
     fwd = VrpResult(implied_variance=a, realized_variance=b, vrp=a - b)
     swapped = VrpResult(implied_variance=b, realized_variance=a, vrp=b - a)
     assert fwd.vrp == -swapped.vrp
+
+
+# --------------------------------------------------- the Gaussian limit, nu = inf
+
+def test_white_noise_fit_at_the_gaussian_limit():
+    # on these N(0, 0.01) returns the fit ends at eta = 1/nu = 0
+    rng = np.random.Generator(np.random.Philox(key=1006))
+    series = make_series(rng.normal(0.0, 0.01, size=1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fitted = fit_ar_garch(series)
+        assert fitted.nu == math.inf
+        assert fitted.log_likelihood == garch_log_likelihood(fitted, series)
+        sigma = garch_forecast_vol(fitted, series).sigma_daily
+    assert math.isfinite(fitted.log_likelihood)
+    assert 0.005 < sigma < 0.02
+
+
+def test_simulation_at_the_gaussian_limit_draws_normals():
+    params = GarchParams(ar1=0.0, mean=0.0, omega=1.0, alpha1=0.0, beta1=0.0, nu=math.inf)
+    series = simulate_ar_garch(params, n=1_000, seed=12)
+    # sigma^2 = omega = 1 on every step, so the returns are the innovations after the 500-draw burn-in
+    assert np.array_equal(series.returns, np.random.Generator(np.random.Philox(key=12)).standard_normal(1_500)[500:])
+
+
+def test_finite_nu_draws_reproduce_the_golden_returns():
+    # tests/fixtures/golden/returns.csv was written once from these parameters and seed
+    from predbs.data_io import parse_return_series
+
+    params = GarchParams(ar1=0.05, mean=2e-4, omega=2e-6, alpha1=0.08, beta1=0.9, nu=6.0)
+    series = simulate_ar_garch(params, n=300, seed=2015, start=date(2014, 1, 2))
+    golden = parse_return_series(Path(__file__).parent / "fixtures" / "golden" / "returns.csv")
+    assert np.array_equal(series.returns, golden.returns) and series.dates == golden.dates
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    white=st.booleans(),
+    n=st.integers(250, 2_000),
+    eta=st.floats(1 / 40, 1 / 2.5),
+    persistence=st.floats(0.0, 0.99),
+    share_a1=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_is_admissible_or_refused(white, n, eta, persistence, share_a1, seed):
+    # ROADMAP item 1: simulated AR(1)-GARCH(1,1)-t series (nu 2.5-40, alpha1 + beta1 <= 0.99) and white noise
+    if white:
+        series = make_series(np.random.Generator(np.random.Philox(key=seed)).normal(0.0, 0.01, size=n))
+    else:
+        a1 = persistence * share_a1
+        params = GarchParams(ar1=0.05, mean=2e-4, omega=1e-4 * (1.0 - persistence), alpha1=a1,
+                             beta1=persistence - a1, nu=1 / eta)
+        series = simulate_ar_garch(params, n=n, seed=seed)
+    try:
+        fitted = fit_ar_garch(series)
+    except EstimationError:
+        return
+    assert _admissible(fitted.omega, fitted.alpha1, fitted.beta1, fitted.nu)
+    assert math.isfinite(fitted.log_likelihood)
+    assert fitted.log_likelihood == garch_log_likelihood(fitted, series)
