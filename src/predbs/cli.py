@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from . import calibration, data_io, pricing, sde, volatility
 from .errors import PredbsError
@@ -56,7 +55,8 @@ def _emit(args, fields: list[tuple[str, object]], to_file: bool = True) -> None:
     text = _render(fields, args.format)
     sys.stdout.write(text)
     if to_file and args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with data_io._overwrite(args.out) as fh:
+            fh.write(text)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -5,7 +5,8 @@ ParseError / DataQualityError with a line-level message, never an unrelated
 exception.  Dirty rows are skipped with a diagnostic (real chain downloads
 are dirty); files where more than half the rows fail are rejected outright.
 Floats are serialized with 17 significant digits so write-then-read is the
-identity on binary64 values.
+identity on binary64 values.  Outputs are overwritten in place and cut to
+length; like the truncating open(path, "w") this replaces, that is not atomic.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 from .calibration import CalibrationPoint, ClampStatus, PredictabilitySurface, SurfaceDiff
 from .errors import DataQualityError, InputError, ParseError
@@ -245,25 +249,32 @@ def _meta_path(path: Union[str, Path]) -> Path:
     return Path(path).with_suffix(".json")
 
 
+@contextmanager
+def _overwrite(path: Union[str, Path]) -> Iterator[TextIO]:
+    """Text output over the old bytes of `path`; on exit, even a failed one, a regular file is cut to length.
+
+    This skips the O_TRUNC of open(path, "w"): on ext4 mounted with discard it costs 30-60 ms at any size."""
+    with open(path, "w", encoding="utf-8", newline="\n",
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> None:
-    """Write surface CSV plus a JSON metadata sidecar (same stem, .json)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write surface CSV plus a JSON metadata sidecar (same stem, .json), each overwritten in place
+    and cut to length; like a truncating open(path, "w"), that is not atomic."""
+    with _overwrite(path) as fh:
         fh.write(",".join(SURFACE_HEADER) + "\n")
-        for pt in surface.points:
-            fh.write(",".join([
-                _fmt(pt.moneyness), _fmt(pt.tau), _fmt(pt.p), pt.clamped.value,
-                _fmt(pt.market_price), _fmt(pt.model_price), _fmt(pt.residual),
-            ]) + "\n")
-    meta = {
-        "method": surface.method,
-        "spot": surface.spot,
-        "rate": surface.rate,
-        "as_of": surface.as_of.isoformat() if surface.as_of else None,
-        "points": len(surface.points),
-        "failures": list(surface.failures),
-    }
-    with open(_meta_path(path), "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{_fmt(pt.moneyness)},{_fmt(pt.tau)},{_fmt(pt.p)},{pt.clamped.value},"
+                      f"{_fmt(pt.market_price)},{_fmt(pt.model_price)},{_fmt(pt.residual)}\n"
+                      for pt in surface.points)
+    meta = {"method": surface.method, "spot": surface.spot, "rate": surface.rate,
+            "as_of": surface.as_of.isoformat() if surface.as_of else None,
+            "points": len(surface.points), "failures": list(surface.failures)}
+    with _overwrite(_meta_path(path)) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -324,7 +335,7 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
 
 
 def write_surface_diff(diff: SurfaceDiff, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _overwrite(path) as fh:
         fh.write(",".join(DIFF_HEADER) + "\n")
         for m, t, dp in diff.points:
             fh.write(f"{_fmt(m)},{_fmt(t)},{_fmt(dp)}\n")

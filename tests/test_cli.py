@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -416,6 +417,52 @@ def test_surface_method_requires_returns(fixtures_dir, capsys, tmp_path):
                            "--method", "realized", "--out", str(tmp_path / "s.csv"))
     assert code == 1
     assert "--returns" in err
+
+
+# ------------------------------------------------------------------ --out
+
+def _price_table(capsys):
+    code, out, _ = run_cli(capsys, *PRICE_ARGS)
+    assert code == 0
+    return out.encode()
+
+
+@pytest.mark.parametrize("old_size", [3, 100_000])
+def test_out_overwrites_exactly(tmp_path, capsys, old_size):
+    out = tmp_path / "price.txt"
+    out.write_bytes(b"9" * old_size)
+    assert run_cli(capsys, *PRICE_ARGS, "--out", str(out))[0] == 0
+    assert out.read_bytes() == _price_table(capsys)
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"9" * 10_000)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run_cli(capsys, *PRICE_ARGS, "--out", str(link))[0] == 0
+    assert link.is_symlink() and target.read_bytes() == _price_table(capsys)
+
+
+def test_out_creates_a_file_with_mode_0o666_less_the_umask(tmp_path, capsys):
+    out = tmp_path / "price.txt"
+    old = os.umask(0o027)
+    try:
+        code = run_cli(capsys, *PRICE_ARGS, "--out", str(out))[0]
+    finally:
+        os.umask(old)
+    assert code == 0 and out.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_to_dev_null(capsys):
+    code, out, err = run_cli(capsys, *PRICE_ARGS, "--out", os.devnull)
+    assert code == 0 and err == "" and out.encode() == _price_table(capsys)
+
+
+def test_out_to_a_directory_is_domain_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, *PRICE_ARGS, "--out", str(tmp_path))
+    assert code == 1
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 # ------------------------------------------------------------ determinism

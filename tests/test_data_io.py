@@ -2,6 +2,9 @@ import gc
 import io
 import json
 import math
+import os
+import struct
+import sys
 import tempfile
 import warnings
 from datetime import date, timedelta
@@ -23,6 +26,7 @@ from predbs.data_io import (
     write_surface,
     write_surface_diff,
 )
+from predbs import data_io
 from predbs.calibration import SurfaceDiff
 from predbs.errors import DataQualityError, InputError, ParseError, PredbsError
 
@@ -375,6 +379,139 @@ def test_write_surface_diff(tmp_path):
     assert lines[0] == "moneyness,tau_years,dp"
     assert lines[1] == "1,0.25,0.125"
     assert len(lines) == 3
+
+
+# ---------------------------------------------------- overwriting in place
+
+_SURFACE = random_surface(np.random.default_rng(37))
+_DIFF = SurfaceDiff(base_method="realized", other_method="vix",
+                    points=tuple((1.0 + k / 64, 0.25, k / 128 - 0.25) for k in range(40)))
+# each writer, as a call on its path, and the files it writes, by name
+_WRITERS = {
+    "surface": (lambda path: write_surface(_SURFACE, path), ("s.csv", "s.json")),
+    "diff": (lambda path: write_surface_diff(_DIFF, path), ("d.csv",)),
+}
+
+
+def _fresh_bytes(tmp_path, writer):
+    """What `writer` writes where no file was before, by file name."""
+    write, names = _WRITERS[writer]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    write(fresh / names[0])
+    return {name: (fresh / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("old_size", [3, 100_000])
+def test_writer_overwrites_exactly(tmp_path, writer, old_size):
+    # a longer old file leaves no tail behind, a shorter one no gap
+    write, names = _WRITERS[writer]
+    expected = _fresh_bytes(tmp_path, writer)
+    for name in names:
+        (tmp_path / name).write_bytes(b"9" * old_size)
+    write(tmp_path / names[0])
+    assert {name: (tmp_path / name).read_bytes() for name in names} == expected
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_writer_writes_through_a_symlink(tmp_path, writer):
+    write, names = _WRITERS[writer]
+    expected = _fresh_bytes(tmp_path, writer)
+    (tmp_path / "target").mkdir()
+    for name in names:
+        (tmp_path / "target" / name).write_bytes(b"9" * 10_000)
+        (tmp_path / name).symlink_to(tmp_path / "target" / name)
+    write(tmp_path / names[0])
+    for name in names:
+        assert (tmp_path / name).is_symlink()
+        assert (tmp_path / "target" / name).read_bytes() == expected[name]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_writer_creates_files_with_mode_0o666_less_the_umask(tmp_path, writer, umask):
+    write, names = _WRITERS[writer]
+    old = os.umask(umask)
+    try:
+        write(tmp_path / names[0])
+    finally:
+        os.umask(old)
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_writer_opens_without_truncating(tmp_path, writer, monkeypatch):
+    # truncating a file that has blocks costs tens of ms on ext4 mounted with discard; writers cut to length instead
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    write, names = _WRITERS[writer]
+    write(tmp_path / names[0])
+    assert len(flags) == len(names) and not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_failed_write_leaves_a_prefix_and_no_stale_tail(tmp_path, monkeypatch):
+    expected = _fresh_bytes(tmp_path, "surface")["s.csv"]
+    out = tmp_path / "s.csv"
+    out.write_bytes(b"9" * 100_000)
+    calls = []
+    real_fmt = data_io._fmt
+
+    def fail_in_row_ten(x):  # a row formats 6 floats
+        calls.append(x)
+        if len(calls) > 6 * 9:
+            raise RuntimeError("formatting failed")
+        return real_fmt(x)
+
+    monkeypatch.setattr(data_io, "_fmt", fail_in_row_ten)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_surface(_SURFACE, out)
+    # the header and the nine rows written in full, cut there
+    assert out.read_bytes() == b"".join(expected.splitlines(keepends=True)[:10])
+
+
+_FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POINTS = st.builds(
+    CalibrationPoint, moneyness=_FINITE_POSITIVE, tau=_FINITE_POSITIVE, p=st.floats(-1.0, 1.0),
+    clamped=st.sampled_from(ClampStatus), market_price=_FINITE_POSITIVE, model_price=_FINITE,
+    residual=_FINITE,
+)
+_SURFACES = st.builds(
+    PredictabilitySurface, method=st.text(), spot=_FINITE_POSITIVE, rate=_FINITE,
+    as_of=st.none() | st.dates(), failures=st.lists(st.text(), max_size=3),
+    points=st.lists(_POINTS, max_size=30, unique_by=lambda pt: (pt.moneyness, pt.tau)),
+)
+
+
+def _bits(surface):
+    """The surface with every float as its IEEE 754 bytes, so -0.0 and 0.0 differ."""
+    b = lambda x: struct.pack("<d", x)
+    return (surface.method, b(surface.spot), b(surface.rate), surface.as_of, surface.failures, [
+        (b(pt.moneyness), b(pt.tau), b(pt.p), pt.clamped, b(pt.market_price), b(pt.model_price),
+         b(pt.residual)) for pt in surface.points])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(surface=_SURFACES, old_sizes=st.tuples(st.integers(0, 8_000), st.integers(0, 2_000)))
+@example(surface=PredictabilitySurface(
+    method="vix", spot=5e-324, rate=-0.0, as_of=date(1, 1, 1), failures=("",), points=(CalibrationPoint(
+        moneyness=sys.float_info.max, tau=5e-324, p=-0.0, clamped=ClampStatus.AT_MINUS_ONE,
+        market_price=5e-324, model_price=-0.0, residual=-5e-324),)), old_sizes=(8_000, 2_000))
+def test_surface_survives_write_over_an_old_file_and_read(surface, old_sizes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "surface.csv"
+        for file, size in zip((path, path.with_suffix(".json")), old_sizes):
+            file.write_bytes((b"1,1,0,none,1,1,0\n" * (size // 16 + 1))[:size])
+        write_surface(surface, path)
+        assert _bits(read_surface(path)) == _bits(surface)
 
 
 # ------------------------------------------------------------------- fuzz
