@@ -1,8 +1,9 @@
 """Back out excess predictability from market call prices.
 
-The call price is continuous and strictly decreasing in p, so on [-1, 1]
-the equation model(p) = market has at most one root: bracket it and hand
-it to Brent.  Quotes priced above the p = -1 model value or below the
+The call price is continuous, strictly decreasing and convex in p, so on
+[-1, 1] the equation model(p) = market has at most one root, which Newton
+from p = -1 reaches without overshooting; the stop on p is
+P_TOL + 8 ulp(1) |p|.  Quotes priced above the p = -1 model value or below the
 p = +1 value clamp to the boundary with an explicit flag, which is what
 produces the flat plateaus of a predictability surface.
 """
@@ -10,13 +11,14 @@ produces the flat plateaus of a predictability surface.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import date
 from typing import Optional
 
 from .errors import InputError, QuoteRejectedError
-from .pricing import PricingInputs, call_price
+from .pricing import PricingInputs, _closed_form, _p_free_terms, call_price
 from .volatility import DAYS_PER_YEAR, VolEstimate
 
 __all__ = [
@@ -30,6 +32,8 @@ __all__ = [
 ]
 
 P_TOL = 1e-10  # absolute tolerance on the root p
+_ULP8 = 8 * math.ulp(1.0)  # relative tolerance on the root p
+_NEWTON_STEPS = 40  # then bisect: 35 halvings narrow [-1, 1] below P_TOL
 
 
 class ClampStatus(str, enum.Enum):
@@ -72,7 +76,7 @@ def implied_excess_predictability(
 
     The guarantee is on p.  For a quote priced at p to a normal float C,
     |p_hat - p| <= P_TOL + 8 ulp(1) |p| + 2 E(C) / |dC/dp|: P_TOL + 8 ulp(1) |p|
-    is Brent's tolerance, and E(C) = ulp(A) (1 + m(d_+) D) + ulp(B) (1 + m(d_-) D)
+    is the Newton stop, and E(C) = ulp(A) (1 + m(d_+) D) + ulp(B) (1 + m(d_-) D)
     is the pricer's rounding of C = A - B, with A = S e^{-q tau} Phi(d_+),
     B = K e^{-r tau} Phi(d_-), m(d) = phi(d) / Phi(d) and
     D = (|ln(S/K)| + |(r - q) tau| + sigma^2 tau / 2) / (sigma sqrt(tau)).
@@ -80,11 +84,12 @@ def implied_excess_predictability(
     rounding; |dC/dp| = sigma^2 tau S e^{-q tau} Phi(d_+) can be large, so it
     is not bounded by any fixed fraction of spot.
     """
-    def model(p: float) -> float:
+    def model(p: float) -> float:  # the prices a point reports; the search prices through _closed_form
         return call_price(PricingInputs(spot=spot, strike=strike, tau=tau,
                                         rate=rate, sigma=sigma, p=p)).price
 
-    hi = model(-1.0)  # p = -1 maximizes the call (negative dividend yield); checks the scenario
+    inputs = PricingInputs(spot=spot, strike=strike, tau=tau, rate=rate, sigma=sigma, p=-1.0)
+    hi = call_price(inputs).price  # p = -1 maximizes the call (negative dividend yield)
     if not math.isfinite(market_price):
         raise InputError(f"market price must be finite, got {market_price}")
     if market_price <= 0:
@@ -107,17 +112,45 @@ def implied_excess_predictability(
     if market_price < lo:
         return CalibrationPoint(moneyness, tau, +1.0, ClampStatus.AT_PLUS_ONE,
                                 market_price, lo, lo - market_price)
-
-    from scipy.optimize import brentq
-
-    # model(p) - market changes sign over [-1, 1]; decreasing in p.
-    f = lambda p: model(p) - market_price
-    root = brentq(f, -1.0, 1.0, xtol=P_TOL, rtol=8 * math.ulp(1.0), maxiter=200)
-    root = min(1.0, max(-1.0, float(root)))
+    if market_price == lo != hi:  # a quote at C(+1) is that edge; at C(-1) Newton stops at once
+        root = 1.0
+    else:
+        root = _newton(_p_free_terms(inputs), market_price)
     model_at_root = model(root)
-    residual = model_at_root - market_price
     return CalibrationPoint(moneyness, tau, root, ClampStatus.NONE,
-                            market_price, model_at_root, residual)
+                            market_price, model_at_root, model_at_root - market_price)
+
+
+def _newton(terms: tuple, market: float) -> float:
+    """The root p of C(p) = market for a quote with C(-1) >= market > C(+1).
+
+    C decreases and is convex in p (the normalized call is convex in ln(F/K), which is linear
+    in p), so Newton from -1 climbs to the root without overshooting it.  The iterate is
+    returned once its step is at most half the stop P_TOL + 8 ulp(1) |p|, so a root within
+    that of -1 comes back as -1.0.  A step out of the bracket [a, b] (rounding, or a slope that
+    underflows) and every step after the first _NEWTON_STEPS bisect it instead; a bracket
+    narrower than the stop ends the solve at the iterate just priced.
+    """
+    a, b = -1.0, 1.0  # C(a) >= market > C(b)
+    x = -1.0
+    price, _, _, slope = _closed_form(terms, x)
+    for n in itertools.count():
+        if price == market:
+            return x
+        stop = P_TOL + _ULP8 * abs(x)
+        step = (price - market) / slope if -math.inf < slope < 0.0 else math.inf
+        if abs(step) <= 0.5 * stop:
+            return x
+        x -= step
+        if not a < x < b or n >= _NEWTON_STEPS:
+            x = 0.5 * (a + b)
+        price, _, _, slope = _closed_form(terms, x)
+        if price > market:
+            a = x
+        else:
+            b = x
+        if b - a <= stop:
+            return x
 
 
 @dataclass(frozen=True)

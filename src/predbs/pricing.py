@@ -97,37 +97,47 @@ class PriceResult:
     dividend_yield: float
 
 
+def _p_free_terms(inputs: PricingInputs) -> tuple:
+    """(S, ln(S/K), sigma sqrt(tau), sigma^2 tau / 2, K e^{-r tau}, -sigma^2 tau S, sigma, tau, r)."""
+    s, k, tau, rate, sigma = inputs.spot, inputs.strike, inputs.tau, inputs.rate, inputs.sigma
+    m = s / k  # may under- or overflow at extreme moneyness; its log does not
+    log_m = math.log(m) if 0.0 < m < math.inf else math.log(s) - math.log(k)
+    return (s, log_m, sigma * math.sqrt(tau), 0.5 * sigma * sigma * tau,
+            k * math.exp(-rate * tau), -sigma * sigma * tau * s, sigma, tau, rate)
+
+
+def _closed_form(terms: tuple, p: float, w: int = 1) -> tuple[float, float, float, float]:
+    """(price, d_+, d_-, dC/dp) at p on Python floats: the one statement of the closed form.
+
+    w = +1 prices the call, w = -1 the put: w (S e^{-q tau} Phi(w d_+) - K e^{-r tau} Phi(w d_-)), with
+    d_+- as d_plus_minus states them; without diffusion that is the discounted forward payoff.  Deep
+    out of the money the two terms can cancel to a few ulp below zero, so the price is floored at 0.
+    The slope is the call's at either w.  The calibration solve calls this once per iterate.
+    """
+    s, log_m, sig_sqrt_tau, half_var, disc_strike, neg_var_spot, sigma, tau, rate = terms
+    q = p * sigma * sigma
+    growth = math.exp(-q * tau)
+    if sig_sqrt_tau == 0.0:
+        dp = dm = math.inf if s * growth - disc_strike > 0 else -math.inf
+    else:
+        log_fwd = log_m + (rate - q) * tau
+        dp, dm = (log_fwd + half_var) / sig_sqrt_tau, (log_fwd - half_var) / sig_sqrt_tau
+    phi_plus = norm_cdf(dp)
+    price = w * (s * growth * (phi_plus if w == 1 else norm_cdf(-dp)) - disc_strike * norm_cdf(w * dm))
+    return price if price > 0.0 else 0.0, dp, dm, neg_var_spot * growth * phi_plus
+
+
 def d_plus_minus(inputs: PricingInputs) -> tuple[float, float]:
     """d_+- = [ln(S e^{-q tau} / (K e^{-r tau})) +- sigma^2 tau / 2] / (sigma sqrt(tau)).
 
     Without diffusion both take the formula's limit: +inf where S e^{-q tau} > K e^{-r tau}, else -inf.
     """
-    q = inputs.dividend_yield
-    sig_sqrt_tau = inputs.sigma * math.sqrt(inputs.tau)
-    if sig_sqrt_tau == 0.0:
-        gap = inputs.spot * math.exp(-q * inputs.tau) - inputs.strike * math.exp(-inputs.rate * inputs.tau)
-        return (math.inf, math.inf) if gap > 0 else (-math.inf, -math.inf)
-    m = inputs.spot / inputs.strike  # may under- or overflow at extreme moneyness; its log does not
-    log_m = math.log(m) if 0.0 < m < math.inf else math.log(inputs.spot) - math.log(inputs.strike)
-    log_fwd = log_m + (inputs.rate - q) * inputs.tau
-    half_var = 0.5 * inputs.sigma * inputs.sigma * inputs.tau
-    return (log_fwd + half_var) / sig_sqrt_tau, (log_fwd - half_var) / sig_sqrt_tau
+    return _closed_form(_p_free_terms(inputs), inputs.p)[1:3]
 
 
 def _price(inputs: PricingInputs, w: int) -> PriceResult:
-    """w = +1 prices the call, w = -1 the put: w (S e^{-q tau} Phi(w d_+) - K e^{-r tau} Phi(w d_-)).
-
-    At d_+- = +-inf this is the discounted forward payoff, the no-diffusion
-    value.  Deep out of the money the two terms can cancel to a few ulp below
-    zero, so the price is floored at 0.
-    """
-    q = inputs.dividend_yield
-    dp, dm = d_plus_minus(inputs)
-    price = w * (
-        inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(w * dp)
-        - inputs.strike * math.exp(-inputs.rate * inputs.tau) * norm_cdf(w * dm)
-    )
-    return PriceResult(price=price if price > 0.0 else 0.0, d_plus=dp, d_minus=dm, dividend_yield=q)
+    price, dp, dm, _ = _closed_form(_p_free_terms(inputs), inputs.p, w)
+    return PriceResult(price=price, d_plus=dp, d_minus=dm, dividend_yield=inputs.dividend_yield)
 
 
 def call_price(inputs: PricingInputs) -> PriceResult:
@@ -149,9 +159,7 @@ def dprice_dp(inputs: PricingInputs) -> float:
 
     Up to sigma^2 tau times the p = -1 forward, so it can overflow where the price does not.
     """
-    dp, _ = d_plus_minus(inputs)
-    q = inputs.dividend_yield
-    slope = -inputs.sigma * inputs.sigma * inputs.tau * inputs.spot * math.exp(-q * inputs.tau) * norm_cdf(dp)
+    slope = _closed_form(_p_free_terms(inputs), inputs.p)[3]
     if slope == -math.inf:
         raise InputError("dC/dp overflows the float range")
     return slope

@@ -4,7 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import log_ndtr
 
 from predbs.calibration import (
@@ -198,6 +198,59 @@ def test_round_trip_within_conditioning_bound(spot, moneyness, tau, rate, sigma,
     pt = implied_excess_predictability(price, spot, spot / moneyness, tau, rate, sigma)
     bound = P_TOL + 8 * math.ulp(1.0) * abs(p) + 2 * pricer_rounding(inputs) / abs(dprice_dp(inputs))
     assert abs(pt.p - p) <= bound
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    spot=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    moneyness=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    tau=st.floats(1 / 365, 2.0),
+    rate=st.floats(-0.01, 0.1),
+    sigma=st.floats(0.01, 2.0),
+)
+# C(-1) = 1e-323 while dC/dp at -1 underflows to -0.0: no Newton step can start there
+@example(spot=1.0, moneyness=0.9802212751629741, tau=1 / 365, rate=0.0, sigma=0.01)
+def test_band_edges_are_classified_exactly(spot, moneyness, tau, rate, sigma):
+    # a quote at C(-1) or C(+1) is the edge itself, one ulp beyond it clamps, and the
+    # no-arbitrage cap S e^{sigma^2 tau} is admitted while one ulp above it is rejected
+    kw = dict(spot=spot, strike=spot / moneyness, tau=tau, rate=rate, sigma=sigma)
+    hi, lo = model_price(p=-1.0, **kw), model_price(p=1.0, **kw)
+    cap = spot * math.exp(sigma * sigma * tau)
+
+    def outcome(market):
+        try:
+            pt = implied_excess_predictability(market, **kw)
+        except QuoteRejectedError:
+            return "rejected"
+        assert pt.market_price == market and pt.residual == pt.model_price - market
+        return pt.p, pt.clamped
+
+    if hi > 0.0:
+        assert outcome(hi) == (-1.0, ClampStatus.NONE)
+    above_hi = math.nextafter(hi, math.inf)
+    assert outcome(above_hi) == ("rejected" if above_hi > cap else (-1.0, ClampStatus.AT_MINUS_ONE))
+    if lo > 0.0:
+        # at lo == hi the quote is at both edges; -1 is named first, as brentq named it
+        assert outcome(lo) == (1.0 if lo < hi else -1.0, ClampStatus.NONE)
+        below_lo = math.nextafter(lo, 0.0)
+        assert outcome(below_lo) == ("rejected" if below_lo == 0.0 else (1.0, ClampStatus.AT_PLUS_ONE))
+    assert outcome(cap) != "rejected"
+    assert outcome(math.nextafter(cap, math.inf)) == "rejected"
+
+
+@pytest.mark.parametrize("market_price, kw", [
+    # dC/dp underflows to 0 on the way: an unguarded Newton step goes to p = -inf
+    (2.87e-322, dict(spot=820.5281583470105, strike=2418.560942485686, tau=0.22898315684272533,
+                     rate=0.024430760206949106, sigma=0.05840352232096964)),
+    # the rounding of a subnormal price sends an unguarded Newton step to p = -1.2488571774739792
+    (6.843e-321, dict(spot=907.8511188962876, strike=7419.728805506999, tau=0.004755034637356186,
+                      rate=0.06010481491100516, sigma=0.7937777369560887)),
+])
+def test_subnormal_quote_is_solved_inside_the_band(market_price, kw):
+    # p is not identified to the stated bound at such prices, but the solve stays in [-1, 1]
+    pt = implied_excess_predictability(market_price, **kw)
+    assert pt.clamped is ClampStatus.NONE and -1.0 <= pt.p <= 1.0
+    assert pt.model_price == model_price(p=pt.p, **kw)
 
 
 def test_expired_quote_recorded_as_failure_not_fatal():

@@ -501,11 +501,17 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     (None, ["scipy.optimize", "scipy.special", "scipy.linalg"]),
     (["simulate", "--mu", "0.05", "--sigma", "0.2", "--paths", "100", "--steps", "4"], ["scipy.optimize"]),
     (PRICE_ARGS, ["scipy.optimize"]),
-], ids=["import", "simulate", "price"])
-def test_cli_leaves_scipy_optimize_unloaded(argv, unloaded):
+    (["calibrate", "--market-price", "10.09", "--spot", "206.38", "--strike", "200", "--tau", "0.25",
+      "--rate", "0.0212", "--sigma", "0.15"], ["scipy.optimize", "scipy.special", "scipy.linalg"]),
+    (["surface", "--chain", "{chain}", "--spot", "206.38", "--rate", "0.0212", "--method", "vix",
+      "--vix", "15", "--out", "{tmp}/vix.csv"], ["scipy.optimize"]),
+], ids=["import", "simulate", "price", "calibrate", "surface-vix"])
+def test_cli_leaves_scipy_optimize_unloaded(argv, unloaded, fixtures_dir, tmp_path):
     # scipy.optimize (about 0.2 s to import) and scipy.special are imported by
-    # the calibration solve and the GARCH fit only, so the rest of the CLI,
-    # the paper's simulation check included, starts without them
+    # the GARCH fit only, so the rest of the CLI, the paper's simulation check
+    # and the calibration solve included, starts without them
+    if argv is not None:
+        argv = [a.format(chain=fixtures_dir / "chain_2015_mimic.csv", tmp=tmp_path) for a in argv]
     probe = (
         "import contextlib, io, sys, predbs.cli\n"
         f"argv = {argv!r}\n"

@@ -8,6 +8,8 @@ from scipy.integrate import quad
 from predbs.errors import InputError
 from predbs.pricing import (
     PricingInputs,
+    _closed_form,
+    _p_free_terms,
     call_price,
     d_plus_minus,
     dividend_yield_due_to_predictability,
@@ -263,6 +265,31 @@ def test_admitted_scenarios_price_finite(spot, strike, tau, rate, sigma, p):
         assert -math.inf < dprice_dp(inputs) <= 0.0
     except InputError:
         pass
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    spot=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    moneyness=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    tau=st.floats(1 / 365, 2.0),
+    rate=st.floats(-0.01, 0.1),
+    sigma=st.floats(0.01, 2.0),
+    p=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+)
+def test_closed_form_on_the_p_free_terms_is_the_public_pricer(spot, moneyness, tau, rate, sigma, p):
+    # the calibration solve forms the p-free terms once, from the p = -1 scenario it admits, and
+    # evaluates _closed_form at each iterate: price and slope must be the public ones bit for bit
+    kw = dict(spot=spot, strike=spot / moneyness, tau=tau, rate=rate, sigma=sigma)
+    terms = _p_free_terms(PricingInputs(p=-1.0, **kw))
+    inputs = PricingInputs(p=p, **kw)
+    call, d_plus, d_minus, slope = _closed_form(terms, p)
+    result = call_price(inputs)
+    assert (call.hex(), d_plus, d_minus) == (result.price.hex(), result.d_plus, result.d_minus)
+    assert _closed_form(terms, p, -1)[0].hex() == put_price(inputs).price.hex()
+    try:
+        assert slope.hex() == dprice_dp(inputs).hex()
+    except InputError:
+        assert slope == -math.inf
 
 
 @pytest.mark.parametrize("price_fn, inputs", [
