@@ -23,8 +23,8 @@ offset-rule SDE with parameter a is the plain SDE with drift mu + a*sigma^2.
 Randomness comes from counter-based Philox streams keyed by the config
 seed, with path i owning row i of a fixed (paths, steps) draw layout, so
 batches are bit-reproducible and independent of any internal parallelism.
-The simulator draws that layout in row blocks, in O(paths + block) memory.
-Ensemble statistics are fixed-order block sums in O(block) memory; the MC pricer samples the forward.
+The simulator draws that layout in row blocks, in O(paths + block) memory; statistics are fixed-order
+block sums in O(block). The MC pricer samples the forward and forms its payoff on the one paths-long array.
 """
 
 from __future__ import annotations
@@ -179,11 +179,11 @@ class PathSimConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.mu, self.sigma, self.alpha, self.s0, self.horizon))):
-            raise InputError("config values must be finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError(f"alpha must be in [0, 1], got {self.alpha}")
         dividend_yield_due_to_predictability(0.0, self.sigma)  # the pricer's sigma domain
+        if not (math.isfinite(drift := self.log_drift * self.horizon) and math.isfinite(self.s0)):  # mu, horizon too
+            raise InputError(f"config values must be finite: s0 = {self.s0}, log_drift * horizon = {drift}")
         if self.s0 <= 0:
             raise InputError("s0 must be > 0")
         if self.horizon <= 0:
@@ -279,8 +279,11 @@ def mc_risk_neutral_call(
         raise InputError("risk-neutral forward s0 e^((r - q) tau) overflows the float range")
     e, disc = math.frexp(max(fwd, strike))[1], math.exp(-rate * tau)
     # S_T and K in exact units of 2^e ~ max(F, K): an S_T near the largest float and a K far past F stay finite
-    payoff = np.maximum(math.ldexp(fwd, -e) * _log_exact(cfg).terminal - math.ldexp(strike, -e), 0.0)
-    mean, se = _mean_and_se(payoff)
+    x = _log_exact(cfg).log_return  # this call's own batch: the payoff is formed over it in place
+    np.exp(x, out=x)
+    x *= math.ldexp(fwd, -e)
+    x -= math.ldexp(strike, -e)
+    mean, se = _mean_and_se(np.maximum(x, 0.0, out=x))
     try:  # a draw far out in the tail may still carry the estimate past the float range
         return McCallEstimate(math.ldexp(disc * mean, e), math.ldexp(disc * se, e), paths, seed)
     except OverflowError:

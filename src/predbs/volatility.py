@@ -91,8 +91,9 @@ class VolEstimate:
     def __post_init__(self):
         if self.method not in VOL_METHODS:
             raise InputError(f"unknown method {self.method!r}")
-        if self.sigma_daily < 0 or self.sigma_annual < 0:
-            raise InputError("sigma must be >= 0")
+        if not (0.0 <= self.sigma_daily < math.inf and 0.0 <= self.sigma_annual < math.inf):
+            raise InputError(f"sigma must be finite and >= 0, got sigma_daily = {self.sigma_daily}, "
+                             f"sigma_annual = {self.sigma_annual}")
         if not math.isclose(self.sigma_annual, self.sigma_daily * _SQRT_DAYS,
                             rel_tol=1e-12, abs_tol=1e-300):
             raise InputError("sigma_annual must equal sigma_daily * sqrt(365)")
@@ -102,29 +103,43 @@ class VolEstimate:
         return cls(method, sigma_daily, sigma_daily * _SQRT_DAYS, window, as_of)
 
 
+def _in_units(r: np.ndarray) -> tuple[np.ndarray, int]:
+    """r and e, with r scaled exactly by the power of two that brings max |r| into [1/2, 1): as sde._mean_and_se
+    takes its input, so that second moments of any finite returns stay finite."""
+    e = math.frexp(float(max(r.max(), -r.min())))[1]
+    return np.ldexp(r, -e), e
+
+
+def _estimate(method: str, sigma_units: float, e: int, window: int, series: ReturnSeries) -> VolEstimate:
+    """The estimate whose daily sigma is sigma_units 2^e; VolEstimate refuses it past the float range."""
+    try:
+        sigma_daily = math.ldexp(sigma_units, e)
+    except OverflowError:
+        sigma_daily = math.inf
+    return VolEstimate.from_daily(method, sigma_daily, window, series.as_of)
+
+
 def historical_vol(series: ReturnSeries, window: int) -> VolEstimate:
     """Mean-subtracted sample standard deviation (divisor n-1) of the last `window` returns."""
     if window < 2:
         raise InputError("historical window must be >= 2")
-    r = series.last(window)
-    sigma_daily = float(np.std(r, ddof=1))
-    return VolEstimate.from_daily("historical", sigma_daily, window, series.as_of)
+    z, e = _in_units(series.last(window))
+    return _estimate("historical", float(np.std(z, ddof=1)), e, window, series)
 
 
 def realized_vol(series: ReturnSeries, window: int) -> VolEstimate:
     """Root mean square of the last `window` returns; no mean subtraction."""
     if window < 2:
         raise InputError("realized window must be >= 2")
-    r = series.last(window)
-    sigma_daily = float(math.sqrt(np.mean(r * r)))
-    return VolEstimate.from_daily("realized", sigma_daily, window, series.as_of)
+    z, e = _in_units(series.last(window))
+    return _estimate("realized", math.sqrt(np.mean(z * z)), e, window, series)
 
 
 def vix_to_sigma(vix_quote: float) -> VolEstimate:
     """Convert a VIX quote in index points (annualized % points) to sigma."""
     if not math.isfinite(vix_quote) or vix_quote < 0:
         raise InputError(f"vix quote must be >= 0, got {vix_quote}")
-    annual = vix_quote / 100.0
+    annual = abs(vix_quote) / 100.0  # a quote of -0.0 reads 0
     return VolEstimate("vix", annual / _SQRT_DAYS, annual)
 
 
@@ -273,8 +288,12 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     """
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
+    u, e = _in_units(series.returns)
+    # the likelihood of the returns sums n squared residuals, each below (3 max |r|)^2 < 2^(2e + 4)
+    if 2 * e + 4 + len(series).bit_length() > 1024:
+        raise EstimationError("returns too large to fit: the likelihood's sums of squared residuals would overflow")
     # variance floor: exactly-constant series leave rounding dust of order 1e-35 in np.var, far below any real series
-    var = float(np.var(series.returns))
+    var = math.ldexp(float(np.var(u)), 2 * e)
     if var < 1e-20:
         raise EstimationError("degenerate likelihood: series variance is (numerically) zero")
     sd = math.sqrt(var)
@@ -361,7 +380,9 @@ class VrpResult:
 
 def variance_risk_premium(vix_quote: float, series: ReturnSeries, window: int) -> VrpResult:
     """VIX^2 implied variance minus annualized realized variance over `window` days."""
-    implied = vix_to_sigma(vix_quote).sigma_annual ** 2
-    daily_var = realized_vol(series, window).sigma_daily ** 2
-    realized = daily_var * DAYS_PER_YEAR
+    sigma_implied, sigma_daily = vix_to_sigma(vix_quote).sigma_annual, realized_vol(series, window).sigma_daily
+    implied, realized = sigma_implied * sigma_implied, sigma_daily * sigma_daily * DAYS_PER_YEAR
+    for name, variance in (("implied", implied), ("realized", realized)):
+        if variance == math.inf:
+            raise InputError(f"the annualized {name} variance overflows the float range")
     return VrpResult(implied_variance=implied, realized_variance=realized, vrp=implied - realized)

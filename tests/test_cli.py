@@ -196,6 +196,10 @@ def test_simulate_alpha_out_of_range(capsys):
         main(["simulate", "--mu", "0", "--sigma", "0.2", "--alpha", "1.5"])
     assert exc.value.code == 2
     assert "[0, 1]" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--mu", "0", "--sigma", "0.2", "--alpha", "half"])
+    assert exc.value.code == 2
+    assert "invalid float 'half'" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- vol / vrp
@@ -408,6 +412,8 @@ def test_surface_requires_out(fixtures_dir, capsys):
                            "--method", "vix", "--vix", "15")
     assert code == 1
     assert "--out" in err
+    code, _, err = run_cli(capsys, "diff-surface", "--base", "a.csv", "--other", "b.csv")
+    assert (code, err) == (1, "error: diff-surface requires --out for the diff CSV\n")
 
 
 def test_surface_method_requires_returns(fixtures_dir, capsys, tmp_path):

@@ -151,6 +151,17 @@ def test_option_quote_validation():
         OptionQuote(qd, ed, strike=100.0, right="straddle", bid=1.0, ask=2.0)
     with pytest.raises(InputError):
         OptionQuote(qd, date(2014, 12, 31), strike=100.0, right="call", bid=1.0, ask=2.0)
+    with pytest.raises(InputError, match="bid and ask must be finite"):
+        OptionQuote(qd, ed, strike=100.0, right="call", bid=math.nan, ask=2.0)
+    with pytest.raises(InputError, match="bid must be >= 0"):
+        OptionQuote(qd, ed, strike=100.0, right="call", bid=-1.0, ask=2.0)
+    quote = OptionQuote(qd, ed, strike=100.0, right="call", bid=1.0, ask=2.0)
+    with pytest.raises(InputError, match="spot must be > 0"):
+        OptionChain(quote_date=qd, spot=0.0, quotes=(quote,))
+    with pytest.raises(InputError, match="all quotes must share the chain quote_date"):
+        OptionChain(quote_date=date(2015, 1, 5), spot=100.0, quotes=(quote,))
+    with pytest.raises(ParseError, match="option chain: spot must be > 0, got -1.0"):
+        parse_option_chain(io.StringIO(chain_text(["2015-01-02,2015-03-20,100,call,1.0,2.0"])), spot=-1.0)
 
 
 # ------------------------------------------------------------ return series

@@ -55,6 +55,8 @@ CASES: dict[str, list[list[str]]] = {
     "simulate_table": [SIM],
     "simulate_csv": [SIM + ["--format", "csv"]],
     "simulate_json": [SIM + ["--format", "json"]],
+    "simulate_log_drift_overflow": [["simulate", "--mu", "1e308", "--sigma", "0.2", "--paths", "10",
+                                     "--horizon", "10"]],
     "vol_vix_table": [["vol", "--method", "vix", "--vix", "19.2"]],
     "vol_historical_csv": [["vol", "--method", "historical", "--returns", "{returns}",
                             "--window", "60", "--format", "csv"]],
@@ -65,6 +67,7 @@ CASES: dict[str, list[list[str]]] = {
     "vrp_csv": [["vrp", "--vix", "25", "--returns", "{returns}", "--window", "60",
                  "--format", "csv"]],
     "vrp_json": [["vrp", "--vix", "25", "--returns", "{returns}", "--format", "json"]],
+    "vrp_vix_overflow": [["vrp", "--vix", "1e160", "--returns", "{returns}"]],
     "calibrate_table": [CALIB],
     "calibrate_csv": [CALIB + ["--format", "csv"]],
     "calibrate_json": [CALIB + ["--format", "json"]],

@@ -28,13 +28,26 @@ def fixture_path(brownian_fixture_files):
 
 # ---------------------------------------------------------------- paths
 
-def test_brownian_path_validation():
+def test_brownian_path_validation(tmp_path):
     with pytest.raises(InputError):
         BrownianPath(times=[0.0, 0.5, 0.7], values=[0.0, 0.1, 0.2])  # non-uniform
     with pytest.raises(InputError):
         BrownianPath(times=[0.0, 0.5, 1.0], values=[0.1, 0.2, 0.3])  # B(0) != 0
     with pytest.raises(InputError):
         BrownianPath(times=[0.0, 1.0, 0.5], values=[0.0, 0.1, 0.2])  # not increasing
+    for times, values in (([0.0, 1.0], [0.0]), ([0.0], [0.0]), ([[0.0, 1.0]], [[0.0, 0.1]])):
+        with pytest.raises(InputError, match="1-d arrays of equal length >= 2"):
+            BrownianPath(times=times, values=values)
+    with pytest.raises(InputError, match="times and values must be finite"):
+        BrownianPath(times=[0.0, 0.5, 1.0], values=[0.0, math.nan, 0.2])
+    for steps, horizon in ((0, 1.0), (4, 0.0)):
+        with pytest.raises(InputError, match="steps must be >= 1 and horizon > 0"):
+            BrownianPath.sample(steps=steps, horizon=horizon, seed=1)
+    with pytest.raises(InputError, match="cannot load Brownian path"):
+        BrownianPath.from_csv(tmp_path / "missing.csv")
+    (tmp_path / "one_column.csv").write_text("t\n0.0\n0.5\n", encoding="utf-8")
+    with pytest.raises(InputError, match="expected two columns t,B"):
+        BrownianPath.from_csv(tmp_path / "one_column.csv")
 
 
 def test_brownian_sample_reproducible():
@@ -206,15 +219,26 @@ def test_sim_config_validation():
         PathSimConfig(mu=0.0, sigma=0.2, alpha=0.0, s0=-1, horizon=1.0)
     with pytest.raises(InputError, match="overflows"):
         PathSimConfig(mu=0.0, sigma=1e200, alpha=0.0, s0=100, horizon=1.0)
+    # alpha, then sigma, are checked before the config's finiteness
+    with pytest.raises(InputError, match=r"alpha must be in \[0, 1\], got nan"):
+        PathSimConfig(mu=0.0, sigma=0.2, alpha=math.nan, s0=100, horizon=1.0)
+    with pytest.raises(InputError, match="sigma must be finite and >= 0, got inf"):
+        PathSimConfig(mu=0.0, sigma=math.inf, alpha=0.0, s0=100, horizon=1.0)
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(mu=math.inf), "config values must be finite"),    # the all(map(math.isfinite, ...)) check
+    (dict(mu=math.inf), "config values must be finite"),    # the check of s0 and log_drift * horizon
     (dict(mu=math.nan), "config values must be finite"),
     (dict(horizon=0.0), "horizon must be > 0"),               # `if self.horizon <= 0`
     (dict(horizon=-1.0), "horizon must be > 0"),
     (dict(steps=0), "steps and paths must be >= 1"),          # `if self.steps < 1 or self.paths < 1`
     (dict(paths=0), "steps and paths must be >= 1"),
+    # finite fields whose log-return drift log_drift * horizon overflows: the simulator would report inf
+    (dict(mu=1e308, horizon=10.0), r"config values must be finite: s0 = 100.0, log_drift \* horizon = inf"),
+    (dict(mu=1e300, horizon=1e10, steps=1), r"log_drift \* horizon = inf"),
+    (dict(horizon=math.inf), r"log_drift \* horizon = -inf"),
+    (dict(horizon=math.nan), r"log_drift \* horizon = nan"),
+    (dict(s0=math.inf), "config values must be finite: s0 = inf"),
 ])
 def test_sim_config_rejects_bad_mu_horizon_steps_paths(bad, message):
     kw = dict(mu=0.0, sigma=0.2, alpha=0.0, s0=100.0, horizon=1.0, steps=4, paths=10)
@@ -400,6 +424,19 @@ def test_mc_call_is_the_simulator_at_one_step(s0, strike, tau, rate, sigma, p):
     disc = math.exp(-rate * tau)
     assert est.price == disc * float(np.mean(payoff))
     assert est.std_error == disc * float(np.std(payoff, ddof=1) / math.sqrt(500))
+
+
+def test_mc_call_memory_is_the_one_batch():
+    # the payoff is formed in place over the simulator's log_return (7.6 MiB at 1M paths); a second
+    # paths-long array, such as PathBatch.terminal, would bring the peak past 15 MiB
+    mc_risk_neutral_call(100.0, 100.0, 1.0, 0.05, 0.2, 0.0, paths=10)  # first-call allocations are not the pricer's
+    tracemalloc.start()
+    try:
+        mc_risk_neutral_call(100.0, 100.0, 1.0, 0.05, 0.2, 0.0, paths=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_mc_call_zero_sigma_exact():

@@ -2,11 +2,13 @@ import math
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from predbs import volatility
 from predbs.errors import EstimationError, InputError
 from predbs.volatility import (
     DAYS_PER_YEAR,
@@ -14,6 +16,7 @@ from predbs.volatility import (
     GarchParams,
     ReturnSeries,
     VolEstimate,
+    VrpResult,
     fit_ar_garch,
     garch_forecast_vol,
     garch_log_likelihood,
@@ -46,6 +49,8 @@ def test_return_series_validation():
         ReturnSeries(dates=(date(2020, 1, 2), date(2020, 1, 1)), returns=[0.0, 0.0])
     with pytest.raises(InputError):
         make_series([0.01, float("nan")])
+    with pytest.raises(InputError, match="dates and returns must have equal length"):
+        ReturnSeries(dates=(date(2020, 1, 2),), returns=[0.0, 0.0])
 
 
 # ------------------------------------------------------- simple estimators
@@ -77,6 +82,8 @@ def test_historical_window_validation():
         historical_vol(series, 1)
     with pytest.raises(InputError):
         historical_vol(series, 10)
+    with pytest.raises(InputError, match="realized window must be >= 2"):
+        realized_vol(series, 1)
 
 
 def test_realized_zero_returns():
@@ -109,6 +116,8 @@ def test_realized_variance_identity():
 
 def test_vix_conversion():
     assert vix_to_sigma(0.0).sigma_annual == 0.0
+    minus_zero = vix_to_sigma(-0.0)  # reads 0, not -0
+    assert math.copysign(1.0, minus_zero.sigma_annual) == math.copysign(1.0, minus_zero.sigma_daily) == 1.0
     est = vix_to_sigma(36.5)
     assert est.sigma_annual == 0.365
     assert est.sigma_daily == pytest.approx(0.365 / math.sqrt(365.0), rel=1e-15)
@@ -129,6 +138,41 @@ def test_vol_estimate_rejects_inconsistent_pair():
         VolEstimate(method="vix", sigma_daily=0.01, sigma_annual=0.5)
     with pytest.raises(InputError):
         VolEstimate.from_daily("wat", 0.01)
+
+
+@pytest.mark.parametrize("daily, annual", [(-0.01, -0.01 * math.sqrt(365.0)), (math.nan, math.nan),
+                                           (math.inf, math.inf), (1e307, math.inf)])
+def test_vol_estimate_refuses_a_negative_or_non_finite_sigma(daily, annual):
+    with pytest.raises(InputError, match="sigma must be finite and >= 0"):
+        VolEstimate(method="realized", sigma_daily=daily, sigma_annual=annual)
+
+
+@pytest.mark.parametrize("k", [-1000, -900, 40, 500, 1000])
+def test_simple_estimators_scale_exactly_with_a_power_of_two(k):
+    # the moments are taken in units of 2^e ~ max |r|: squares of returns near 1e300 neither overflow
+    # nor, near 1e-300, underflow
+    series = make_series(np.random.Generator(np.random.Philox(key=509)).normal(0.0005, 0.01, size=300))
+    scaled = make_series(np.ldexp(series.returns, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimator in (historical_vol, realized_vol):
+            base, est = estimator(series, 300), estimator(scaled, 300)
+            assert est.sigma_daily == math.ldexp(base.sigma_daily, k)
+            assert est.sigma_annual == math.ldexp(base.sigma_annual, k)
+
+
+def test_extreme_returns_give_an_estimate_or_a_typed_error():
+    big = make_series(1e160 * np.random.Generator(np.random.Philox(key=510)).standard_normal(300))
+    huge = make_series([1.7e308, -1.7e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.9e160 < historical_vol(big, 300).sigma_daily < 1.1e160
+        assert 0.9e160 < realized_vol(big, 300).sigma_daily < 1.1e160
+        with pytest.raises(EstimationError, match="returns too large to fit"):
+            fit_ar_garch(big)
+        for estimator in (historical_vol, realized_vol):  # sigma_daily itself, or sigma_annual, overflows
+            with pytest.raises(InputError, match="sigma must be finite and >= 0"):
+                estimator(huge, 3)
 
 
 def test_vol_estimate_rejects_unknown_method():
@@ -380,6 +424,14 @@ def test_garch_constant_series_degenerate():
         fit_ar_garch(make_series([0.001] * 300))
 
 
+def test_garch_fit_without_a_finite_likelihood_is_refused(monkeypatch):
+    # an optimizer that only evaluates inadmissible points (omega < 0) leaves no parameters to return
+    monkeypatch.setattr(volatility, "minimize", lambda fun, x0, args, **kw: SimpleNamespace(
+        success=fun(-x0, *args)[0] < volatility._PENALTY))
+    with pytest.raises(EstimationError, match="no parameters with a finite likelihood"):
+        fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=300, seed=1))
+
+
 def test_garch_requires_min_length():
     with pytest.raises(InputError):
         fit_ar_garch(make_series([0.01, -0.01] * 50))
@@ -391,6 +443,18 @@ def test_forecast_constant_variance_model():
     est = garch_forecast_vol(params, series)
     assert est.sigma_daily == pytest.approx(math.sqrt(1e-4), rel=1e-14)
     assert est.method == "garch"
+
+
+def test_forecast_past_the_float_range_is_refused():
+    # sigma^2 = omega + 0.9 sigma^2 climbs to omega / 0.1 = 1e309
+    params = GarchParams(ar1=0.0, mean=0.0, omega=1e308, alpha1=0.0, beta1=0.9, nu=8.0)
+    with pytest.raises(InputError, match="forecast variance is not positive"):
+        garch_forecast_vol(params, make_series([0.01, -0.02] * 15))
+
+
+def test_simulation_needs_two_returns():
+    with pytest.raises(InputError, match="n must be >= 2"):
+        simulate_ar_garch(TRUE_PARAMS, n=1, seed=1)
 
 
 def test_forecast_responds_to_shock():
@@ -475,12 +539,21 @@ def test_vrp_market_style_numbers():
 
 
 def test_vrp_antisymmetry():
-    from predbs.volatility import VrpResult
-
     a, b = 0.0625, 0.0225
     fwd = VrpResult(implied_variance=a, realized_variance=b, vrp=a - b)
     swapped = VrpResult(implied_variance=b, realized_variance=a, vrp=b - a)
     assert fwd.vrp == -swapped.vrp
+    with pytest.raises(InputError, match="vrp must equal implied_variance - realized_variance"):
+        VrpResult(implied_variance=a, realized_variance=b, vrp=a)
+
+
+@pytest.mark.parametrize("vix, r, name", [(1e160, 0.01, "implied"), (20.0, 1e160, "realized"),
+                                          (20.0, 1e153, "realized")])  # 1e306 a day, 3.65e308 a year
+def test_vrp_refuses_a_variance_past_the_float_range(vix, r, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"the annualized {name} variance overflows the float range"):
+            variance_risk_premium(vix, make_series([r, -r, r]), 3)
 
 
 # --------------------------------------------------- the Gaussian limit, nu = inf
