@@ -237,9 +237,13 @@ def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
     inc_drift = cfg.log_drift * dt
     inc_vol = cfg.sigma * math.sqrt(dt)
     rng, rows, log_return = _philox(cfg.seed), max(1, _BLOCK // cfg.steps), np.empty(cfg.paths)
-    for i in range(0, cfg.paths, rows):
-        z = rng.standard_normal((min(rows, cfg.paths - i), cfg.steps))
-        log_return[i:i + rows] = np.sum(inc_drift + inc_vol * z, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, refused below
+        for i in range(0, cfg.paths, rows):
+            z = rng.standard_normal((min(rows, cfg.paths - i), cfg.steps))
+            log_return[i:i + rows] = np.sum(inc_drift + inc_vol * z, axis=1)
+    if not -math.inf < log_return.min() <= log_return.max() < math.inf:  # False for NaN
+        raise InputError("the simulated log-return overflows the float range: "
+                         f"sigma sqrt(horizon) = {cfg.sigma * math.sqrt(cfg.horizon)}")
     return PathBatch(log_return=log_return, config=cfg)
 
 

@@ -180,21 +180,36 @@ class GarchParams:
         return np.array([self.mean, self.ar1, self.omega, self.alpha1, self.beta1, 1.0 / self.nu])
 
 
+def _scan(y: np.ndarray, b: float) -> np.ndarray:
+    """The recurrence y_t = x_t + b y_{t-1} (y_0 = x_0) over x = y, in place, as a doubling scan (Hillis & Steele).
+
+    After the pass at d, y_t holds sum_{k < 2d} b^k x_{t-k}; passes run at d = 1, 2, 4, ... until d >= y.size or
+    b^d underflows to 0.  Each multiplier is b ** d (within 1 ulp), not repeated squaring (which doubles the error
+    each time).  Overflow is left as inf or nan for the callers' finite and positive checks.
+    """
+    d = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while d < y.size and (c := b ** d) != 0.0:
+            y[d:] += c * y[:-d]
+            d *= 2
+    return y
+
+
 def _filter(x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, eta).
 
     eps_t = r_t - mu0 - phi r_{t-1}; sigma^2_1 = mean(eps^2) and
     sigma^2_{t+1} = omega + a1 eps^2_t + b1 sigma^2_t, so the last entry is the
-    one-step-ahead forecast.
+    one-step-ahead forecast.  Overflow is left as inf or nan for the callers' checks.
     """
-    from scipy.signal import lfilter  # deferred: scipy.signal is slow to import
-
     mu0, phi, omega, a1, b1 = x[:5]
-    eps = r[1:] - mu0 - phi * r[:-1]
-    eps2 = eps * eps
-    s2_init = float(np.mean(eps2))
-    y, _ = lfilter([1.0], [1.0, -b1], omega + a1 * eps2, zi=np.array([b1 * s2_init]))
-    return eps, eps2, np.concatenate([[s2_init], y])
+    s2 = np.empty(r.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = r[1:] - mu0 - phi * r[:-1]
+        eps2 = eps * eps
+        s2[0] = eps2.sum() / eps.size
+        s2[1:] = omega + a1 * eps2
+    return eps, eps2, _scan(s2, b1)
 
 
 _PENALTY = 1e10
@@ -233,20 +248,20 @@ def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
         return penalty
     eps, eps2, s2 = _filter(x, r)
     s2 = s2[:-1]
-    if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
+    if not 0.0 < s2.min() <= s2.max() < math.inf:  # False for NaN
         return penalty
     const, dconst = _t_constant(eta)
     d = (1.0 - 2.0 * eta) * s2
     m = eps2 / d
     u = eta * m
     log1p_u = np.log1p(u)
-    ll = eps.size * const - 0.5 * np.sum(np.log(s2)) - 0.5 * (1.0 + eta) * np.dot(
+    ll = eps.size * const - 0.5 * np.log(s2).sum() - 0.5 * (1.0 + eta) * np.dot(
         m, np.divide(log1p_u, u, out=np.ones_like(u), where=u > 0))
     if not math.isfinite(ll):
         return penalty
-    from scipy.signal import lfilter
     w = (1.0 + eta) * m / (1.0 + u)
-    g = lfilter([1.0], [1.0, -b1], (0.5 * (w - 1.0) / s2)[::-1])[::-1]
+    # the adjoint runs the filter backwards; it is scanned as a reversed copy, since numpy is slower on negative strides
+    g = _scan(0.5 * (w[::-1] - 1.0) / s2[::-1], b1)[::-1]
     # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t, and s2_init = mean(eps^2)
     e = -(1.0 + eta) * eps / (d + eta * eps2) + (2.0 * g[0] / eps.size) * eps
     e[:-1] += 2.0 * a1 * eps[:-1] * g[1:]
@@ -256,12 +271,12 @@ def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     z2 = z * z
     q = np.divide(0.5 * log1p_u - z, z2 * z, out=1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 / 9)), where=z > 0.025)
     grad = np.array([
-        -np.sum(e),
+        -e.sum(),
         -np.dot(e, r[:-1]),
-        np.sum(g[1:]),
+        g[1:].sum(),
         np.dot(eps2[:-1], g[1:]),
         np.dot(s2[:-1], g[1:]),
-        eps.size * dconst + np.dot(p * p, 1.0 / (1.0 + z) + z * q) - 1.5 * np.sum(w) / ((1.0 + eta) * (1.0 - 2.0 * eta)),
+        eps.size * dconst + np.dot(p * p, 1.0 / (1.0 + z) + z * q) - 1.5 * w.sum() / ((1.0 + eta) * (1.0 - 2.0 * eta)),
     ])
     return -ll, -grad
 

@@ -57,6 +57,8 @@ CASES: dict[str, list[list[str]]] = {
     "simulate_json": [SIM + ["--format", "json"]],
     "simulate_log_drift_overflow": [["simulate", "--mu", "1e308", "--sigma", "0.2", "--paths", "10",
                                      "--horizon", "10"]],
+    "simulate_diffusion_overflow": [["simulate", "--mu", "0", "--sigma", "1.3e154", "--alpha", "0.5",
+                                     "--horizon", "1e308", "--steps", "1", "--paths", "1000"]],
     "vol_vix_table": [["vol", "--method", "vix", "--vix", "19.2"]],
     "vol_historical_csv": [["vol", "--method", "historical", "--returns", "{returns}",
                             "--window", "60", "--format", "csv"]],

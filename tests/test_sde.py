@@ -246,6 +246,16 @@ def test_sim_config_rejects_bad_mu_horizon_steps_paths(bad, message):
         PathSimConfig(**{**kw, **bad})
 
 
+@pytest.mark.parametrize("steps", [1, 4])
+def test_simulated_log_return_past_the_float_range_is_refused(steps):
+    # no drift at alpha = 1/2, but sigma sqrt(horizon) z = 1.3e308 z leaves the float range for |z| > 1.4;
+    # over 4 steps the terms can stay finite while their sum does not
+    cfg = PathSimConfig(mu=0.0, sigma=1.3e154, alpha=0.5, s0=1.0, horizon=1e308, steps=steps, paths=1000)
+    message = r"log-return overflows the float range: sigma sqrt\(horizon\) = 1\.2999999999999999e\+308"
+    with pytest.raises(InputError, match=message):
+        simulate_stratonovich_alpha(cfg)
+
+
 def test_std_error_is_zero_without_spread():
     # sigma sqrt(dt) z is below half an ulp of the drift step, so every path has the same
     # log-return; std(ddof=1) of them measured only the rounding of the mean (2.2e-19)

@@ -26,7 +26,7 @@ from predbs.volatility import (
     variance_risk_premium,
     vix_to_sigma,
 )
-from predbs.volatility import _BOUNDS, _admissible, _filter, _neg_loglik, _starting_points, _t_constant
+from predbs.volatility import _BOUNDS, _admissible, _filter, _neg_loglik, _scan, _starting_points, _t_constant
 
 
 def make_series(returns):
@@ -207,17 +207,62 @@ def test_simulation_needs_stationary_ar1(ar1):
         simulate_ar_garch(params, n=10, seed=1)
 
 
+def _dyadic(v: float) -> int:
+    """v * 2^1074, an integer for every finite float."""
+    num, den = v.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def scan_error(got, xs, b, scale=1074):
+    """max_t |got_t - y_t| / (eps rec_t), eps = 2^-52: got against the exact recurrence y_t = x_t + b y_{t-1}, where
+    rec is the same recurrence on |x| and |b|.  The inputs are integers X_t = x_t 2^scale and b is a float, so
+    b = B / 2^e and y_t = Y_t / 2^(scale + t e) with integer Y_t: exact, and without the gcds of Fraction."""
+    B, den = b.as_integer_ratio()
+    e, Y, A, worst = den.bit_length() - 1, 0, 0, 0.0
+    for t, (X, g) in enumerate(zip(xs, got.tolist())):
+        Y = (X << t * e) + B * Y
+        A = (abs(X) << t * e) + abs(B) * A
+        G = _dyadic(g) << (scale - 1074 + t * e)
+        worst = max(worst, (abs(G - Y) << 52) / A if A else (math.inf if G != Y else 0.0))
+    return worst
+
+
+# The doubling scan's rounding error, with eps = 2^-52.  Each + and * rounds by at most eps/2 relative, and each
+# multiplier b ** d is within 1 ulp, eps relative, of b^d.  The scan forms y_t as sum_k b^k x_{t-k} through
+# L = ceil(log2 n) passes, so each term carries one factor (1 + delta) per rounding it went through: in every pass at
+# most one addition, and in the passes where bit j of k is set, a product with the multiplier b^(2^j).  That is at
+# most L (eps/2 + eps/2 + eps) = 2 L eps relative to |b^k x_{t-k}|, to first order, so |scan_t - y_t| <= 2 L eps rec_t
+# with rec the recurrence on |x| and |b|.  The filter's inputs omega + a1 eps^2 take two more roundings (eps in all),
+# and the last eps covers the second-order terms: (2L + 2) eps rec.  A multiplier that underflows to 0 ends the scan,
+# dropping terms below 2^-1074 |x_{t-k}| each, far below eps rec_t for inputs of normal size like these.
+def scan_bound(n: int) -> int:
+    return 2 * (n - 1).bit_length() + 2
+
+
 def test_sigma2_recursion_matches_naive_loop():
     rng = np.random.Generator(np.random.Philox(key=42))
     r = rng.normal(0.0, 0.01, size=201)
     omega, a1, b1 = 1e-6, 0.08, 0.9
     eps, eps2, fast = _filter(np.array([1e-4, 0.1, omega, a1, b1, 6.0]), r)
     assert np.array_equal(eps, r[1:] - 1e-4 - 0.1 * r[:-1])
-    slow = np.empty(eps2.size + 1)  # sigma^2_1..sigma^2_T and the one-step forecast
-    slow[0] = np.mean(eps2)
-    for t in range(1, slow.size):
-        slow[t] = omega + a1 * eps2[t - 1] + b1 * slow[t - 1]
-    assert np.array_equal(fast, slow)
+    assert fast[0] == np.mean(eps2)  # sigma^2_1, then sigma^2_2..sigma^2_T and the one-step forecast
+    xs = [_dyadic(fast[0]) << 1074] + [(_dyadic(omega) << 1074) + _dyadic(a1) * _dyadic(e2) for e2 in eps2.tolist()]
+    assert scan_error(fast, xs, b1, scale=2148) <= scan_bound(fast.size)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 777])
+@pytest.mark.parametrize("b", [0.0, 1e-300, 0.3, 0.999999])
+@pytest.mark.parametrize("signs", ["positive", "mixed"])  # the sigma^2 filter, and the adjoint of the likelihood
+def test_scan_is_the_recurrence_within_its_bound(n, b, signs):
+    x = np.random.Generator(np.random.Philox(key=n)).standard_normal(n)
+    if signs == "positive":
+        x = np.abs(x)
+    got = _scan(x.copy(), b)
+    assert scan_error(got, [_dyadic(v) for v in x.tolist()], b) <= scan_bound(n)
+    if b == 0.0 or n == 1:
+        assert np.array_equal(got, x)  # no pass
+    if b == 1e-300:
+        assert np.array_equal(got[1:], x[1:] + b * x[:-1])  # one pass, then b^2 underflows
 
 
 def test_garch_simulation_reestimation():
@@ -450,6 +495,16 @@ def test_forecast_past_the_float_range_is_refused():
     params = GarchParams(ar1=0.0, mean=0.0, omega=1e308, alpha1=0.0, beta1=0.9, nu=8.0)
     with pytest.raises(InputError, match="forecast variance is not positive"):
         garch_forecast_vol(params, make_series([0.01, -0.02] * 15))
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (garch_forecast_vol, "forecast variance is not positive"),
+    (garch_log_likelihood, "likelihood undefined"),
+], ids=["forecast", "likelihood"])
+def test_squared_residuals_past_the_float_range_are_refused_without_a_warning(refuse, message):
+    # eps^2 = (2e160)^2 overflows in the filter: a typed refusal, not numpy's RuntimeWarning
+    with pytest.raises(InputError, match=message):
+        refuse(TRUE_PARAMS, make_series([1e160, -1e160] * 15))
 
 
 def test_simulation_needs_two_returns():
