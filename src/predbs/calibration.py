@@ -18,8 +18,7 @@ from datetime import date
 from typing import Optional
 
 from .errors import InputError, QuoteRejectedError
-from .pricing import PricingInputs, _closed_form, _p_free_terms, call_price
-from .volatility import DAYS_PER_YEAR, VolEstimate
+from .pricing import DAYS_PER_YEAR, PricingInputs, _closed_form, _p_free_terms, call_price
 
 __all__ = [
     "ClampStatus",
@@ -184,9 +183,10 @@ class PredictabilitySurface:
         return counts
 
 
-def build_surface(chain, rate: float, vol: VolEstimate) -> PredictabilitySurface:
-    """Calibrate every call quote of an option chain into a surface.
+def build_surface(chain, rate: float, vol) -> PredictabilitySurface:
+    """Calibrate every call quote of an option chain (a data_io.OptionChain) into a surface.
 
+    vol supplies sigma_annual and method, as a volatility.VolEstimate does.
     Mid price is (bid+ask)/2, moneyness chain.spot/strike, tau calendar days
     to expiry / 365.  Quotes that cannot be calibrated (zero mids, rejected
     prices, a spot/strike outside the float range) are recorded in `failures`, not fatal.

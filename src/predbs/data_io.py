@@ -17,7 +17,6 @@ import json
 import math
 import os
 import stat
-import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from typing import Iterator, Optional, TextIO, Union
 
 from .calibration import CalibrationPoint, ClampStatus, PredictabilitySurface, SurfaceDiff
 from .errors import DataQualityError, InputError, ParseError
+from .pricing import _log_ratio
 from .volatility import ReturnSeries
 
 __all__ = [
@@ -230,8 +230,7 @@ def parse_return_series(source: Source) -> ReturnSeries:
     if mode == "closes":
         if len(values) < 3:
             raise ParseError(f"{what}: need >= 3 closes to form >= 2 returns")
-        returns = [math.log(b / a) if sys.float_info.min <= b / a < math.inf else math.log(b) - math.log(a)
-                   for a, b in zip(values, values[1:])]  # ln(b / a) keeps the digits ln b - ln a loses for a ~ b
+        returns = [_log_ratio(b, a) for a, b in zip(values, values[1:])]
         dates = dates[1:]
     else:
         returns = values
@@ -265,7 +264,10 @@ def _overwrite(path: Union[str, Path]) -> Iterator[TextIO]:
 
 def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> None:
     """Write surface CSV plus a JSON metadata sidecar (same stem, .json), each overwritten in place
-    and cut to length; like a truncating open(path, "w"), that is not atomic."""
+    and cut to length; like a truncating open(path, "w"), that is not atomic.  A .json path is refused:
+    the sidecar would overwrite it."""
+    if _meta_path(path) == Path(path):
+        raise InputError(f"surface path {path} ends in .json, the metadata sidecar's own name")
     with _overwrite(path) as fh:
         fh.write(",".join(SURFACE_HEADER) + "\n")
         fh.writelines(f"{_fmt(pt.moneyness)},{_fmt(pt.tau)},{_fmt(pt.p)},{pt.clamped.value},"

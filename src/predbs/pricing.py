@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import InputError
 
 __all__ = [
+    "DAYS_PER_YEAR",
     "PricingInputs",
     "PriceResult",
     "norm_cdf",
@@ -26,8 +27,16 @@ __all__ = [
     "pde_residual",
 ]
 
+DAYS_PER_YEAR = 365.0  # calendar-day convention: tau = days / 365, sigma_annual = sigma_daily sqrt(365)
 _SQRT2 = math.sqrt(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+def _log_ratio(b: float, a: float) -> float:
+    """ln(b / a) for b, a > 0.  The log of the quotient keeps the digits ln b - ln a loses for a ~ b; a quotient
+    below the normal range (few digits left, or 0) or past it takes ln b - ln a instead."""
+    m = b / a
+    return math.log(m) if sys.float_info.min <= m < math.inf else math.log(b) - math.log(a)
 
 
 def _scaled_exp(x: float, y: float) -> float:
@@ -100,9 +109,7 @@ class PriceResult:
 def _p_free_terms(inputs: PricingInputs) -> tuple:
     """(S, ln(S/K), sigma sqrt(tau), sigma^2 tau / 2, K e^{-r tau}, -sigma^2 tau S, sigma, tau, r)."""
     s, k, tau, rate, sigma = inputs.spot, inputs.strike, inputs.tau, inputs.rate, inputs.sigma
-    m = s / k  # may under- or overflow at extreme moneyness; its log does not
-    log_m = math.log(m) if 0.0 < m < math.inf else math.log(s) - math.log(k)
-    return (s, log_m, sigma * math.sqrt(tau), 0.5 * sigma * sigma * tau,
+    return (s, _log_ratio(s, k), sigma * math.sqrt(tau), 0.5 * sigma * sigma * tau,
             k * math.exp(-rate * tau), -sigma * sigma * tau * s, sigma, tau, rate)
 
 

@@ -55,6 +55,9 @@ _BLOCK = 1 << 16  # normals the simulator draws at a time; blocks hold whole row
 
 
 def _philox(seed: int) -> np.random.Generator:
+    """The Philox stream keyed by seed, the one draw source of the package; its key is an integer in [0, 2^128)."""
+    if not 0 <= seed < 1 << 128:
+        raise InputError(f"seed must be in [0, 2^128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -22,9 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import EstimationError, InputError
+from .pricing import DAYS_PER_YEAR
+from .sde import _philox
 
 __all__ = [
-    "DAYS_PER_YEAR",
     "VOL_METHODS",
     "ReturnSeries",
     "VolEstimate",
@@ -40,7 +41,6 @@ __all__ = [
     "variance_risk_premium",
 ]
 
-DAYS_PER_YEAR = 365.0
 VOL_METHODS = ("vix", "historical", "realized", "garch")
 _SQRT_DAYS = math.sqrt(DAYS_PER_YEAR)
 
@@ -363,7 +363,7 @@ def simulate_ar_garch(params: GarchParams, n: int, seed: int, start: Optional[da
     if not abs(params.ar1) < 1.0:
         raise InputError(f"simulation needs a stationary AR(1) mean, |ar1| < 1, got ar1={params.ar1}")
     burn = 500
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     z = (rng.standard_normal(n + burn) if math.isinf(params.nu)
          else rng.standard_t(params.nu, size=n + burn) * math.sqrt((params.nu - 2.0) / params.nu))
     out = np.empty(n + burn)

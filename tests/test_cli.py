@@ -191,6 +191,14 @@ def test_simulate_overflowing_sigma_is_domain_error(capsys):
     assert err.startswith("error: ") and "sigma" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+def test_simulate_seed_outside_the_philox_key_range_is_domain_error(seed, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--mu", "0", "--sigma", "0.2", "--paths", "10",
+                             "--steps", "2", "--seed", seed)
+    assert code == 1 and out == ""
+    assert err == f"error: seed must be in [0, 2^128), got {seed}\n"
+
+
 def test_simulate_alpha_out_of_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--mu", "0", "--sigma", "0.2", "--alpha", "1.5"])
@@ -541,3 +549,24 @@ def test_cli_leaves_scipy_optimize_unloaded(argv, unloaded, fixtures_dir, tmp_pa
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
     assert proc.stdout.split() == []
+
+
+def _fresh_import(statement: str) -> str:
+    """stdout of `statement` run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", statement], capture_output=True, check=True, text=True).stdout
+
+
+def test_package_import_loads_no_module():
+    # the package root re-exports nothing: every name is imported from the module that defines it
+    assert _fresh_import("import sys, predbs; print(*[m for m in sys.modules if m.startswith('predbs.')])") == "\n"
+
+
+def test_scalar_pricer_and_solver_load_no_numpy():
+    # the closed form and the implied-p Newton solve are math-only; numpy costs about 40 ms to import
+    assert _fresh_import("import sys, predbs.pricing, predbs.calibration; print('numpy' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("module", ["calibration", "cli", "data_io", "errors", "pricing", "sde", "volatility"])
+def test_each_module_imports_alone(module):
+    # with nothing imported ahead of it, a missing import or an import cycle fails here
+    assert _fresh_import(f"import predbs.{module}") == ""

@@ -250,6 +250,13 @@ def test_surface_round_trip_bit_exact(tmp_path):
     assert back == surface  # dataclass equality: every float must round-trip exactly
 
 
+def test_write_surface_refuses_a_path_that_is_its_own_sidecar(tmp_path):
+    # the sidecar is the path with suffix .json: written second, it would replace the surface CSV
+    with pytest.raises(InputError, match="metadata sidecar"):
+        write_surface(random_surface(np.random.default_rng(31)), tmp_path / "surface.json")
+    assert list(tmp_path.iterdir()) == []  # refused before anything is written
+
+
 def test_surface_round_trip_empty(tmp_path):
     surface = PredictabilitySurface(method="vix", spot=100.0, rate=0.02,
                                     as_of=date(2015, 1, 2), points=())

@@ -86,6 +86,9 @@ CASES: dict[str, list[list[str]]] = {
     "diff_surface_table": [SURF_VIX, SURF_REALIZED, DIFF],
     "diff_surface_csv": [SURF_VIX, SURF_REALIZED, DIFF + ["--format", "csv"]],
     "diff_surface_json": [SURF_VIX, SURF_REALIZED, DIFF + ["--format", "json"]],
+    "simulate_seed_out_of_range": [["simulate", "--mu", "0", "--sigma", "0.2", "--paths", "10",
+                                    "--steps", "2", "--seed", "-1"]],
+    "surface_out_json": [SURF + ["--method", "vix", "--vix", "15", "--out", "s.json"]],
 }
 
 

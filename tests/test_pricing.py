@@ -322,6 +322,13 @@ def test_extreme_moneyness_prices(spot, strike):
     assert slope == (pytest.approx(-0.04 * fwd_spot, rel=1e-15) if deep_in else 0.0)
 
 
+def test_subnormal_moneyness_prices_to_a_60_digit_reference():
+    # S/K = 3e-324 rounds to the subnormal 4.9e-324, whose log is off by 0.5; ln S - ln K keeps every digit.
+    # 3.5889815964298973e-85 is the closed form in mpmath at 60 digits; the log of that quotient priced 0.57% low
+    price = call_price(PricingInputs(spot=3e-300, strike=1e24, tau=124.0, rate=0.0, sigma=2.0, p=-1.0)).price
+    assert price == pytest.approx(3.5889815964298973e-85, rel=1e-13, abs=0)
+
+
 # ------------------------------------------------------------- dC/dp
 
 def test_dprice_dp_zero_sigma():

@@ -409,6 +409,19 @@ def test_batch_reproducible_and_positive():
     assert np.all(a.terminal > 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 128])
+@pytest.mark.parametrize("draw", [
+    lambda seed: BrownianPath.sample(steps=4, horizon=1.0, seed=seed),
+    lambda seed: simulate_stratonovich_alpha(PathSimConfig(mu=0.0, sigma=0.2, alpha=0.0, s0=1.0, horizon=1.0,
+                                                           steps=2, paths=10, seed=seed)),
+    lambda seed: mc_risk_neutral_call(100.0, 100.0, 1.0, 0.05, 0.2, 0.0, paths=10, seed=seed),
+], ids=["brownian", "simulate", "mc_call"])
+def test_seed_outside_the_philox_key_range_is_an_input_error(draw, seed):
+    with pytest.raises(InputError, match=r"seed must be in \[0, 2\^128\), got "):
+        draw(seed)
+    draw((1 << 128) - 1)  # the largest key draws
+
+
 # ------------------------------------------------------------ MC pricer
 
 def test_mc_call_matches_closed_form():

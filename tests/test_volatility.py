@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from predbs import volatility
 from predbs.errors import EstimationError, InputError
 from predbs.volatility import (
-    DAYS_PER_YEAR,
     VOL_METHODS,
     GarchParams,
     ReturnSeries,
@@ -205,6 +204,12 @@ def test_simulation_needs_stationary_ar1(ar1):
     params = GarchParams(ar1=ar1, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=6.0)
     with pytest.raises(InputError, match=r"\|ar1\| < 1"):
         simulate_ar_garch(params, n=10, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 128])
+def test_simulation_refuses_a_seed_outside_the_philox_key_range(seed):
+    with pytest.raises(InputError, match=r"seed must be in \[0, 2\^128\)"):
+        simulate_ar_garch(TRUE_PARAMS, n=10, seed=seed)
 
 
 def _dyadic(v: float) -> int:
