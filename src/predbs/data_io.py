@@ -21,6 +21,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
 
@@ -94,8 +95,8 @@ class OptionChain:
         return len(self.quotes)
 
 
-def _read_csv(source: Source, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Read a CSV source into its header and its non-empty (line number, row) pairs.
+def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV source into its header and its rows as the reader gives them: row i, [] if blank, is line i + 2.
 
     Paths are opened and closed here; byte streams are decoded as UTF-8 and,
     like text streams, left open.  Header cells are stripped of whitespace
@@ -116,7 +117,7 @@ def _read_csv(source: Source, what: str) -> tuple[list[str], list[tuple[int, lis
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{what}: file is empty")
-        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+        rows = list(reader)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{what}: unreadable content: {exc}") from exc
     finally:
@@ -145,10 +146,9 @@ def _parse_date(text: str, what: str, line_no: int) -> date:
 
 def _parse_float(text: str, what: str, line_no: int) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError as exc:
         raise ParseError(f"{what} line {line_no}: bad number {text!r}") from exc
-    return value
 
 
 def parse_option_chain(source: Source, spot: float) -> OptionChain:
@@ -161,6 +161,7 @@ def parse_option_chain(source: Source, spot: float) -> OptionChain:
     """
     what = "option chain"
     header, rows = _read_csv(source, what)
+    rows = list(filter(itemgetter(1), enumerate(rows, start=2)))  # the non-blank rows, numbered by line
     idx, width = _column_index(header, CHAIN_HEADER, what)
     quotes: list[OptionQuote] = []
     skipped: list[str] = []
@@ -212,30 +213,31 @@ def parse_return_series(source: Source) -> ReturnSeries:
         mode = "closes"
     else:
         raise ParseError(f"{what}: header must be date,log_return or date,close, got {header}")
-    dates: list[date] = []
-    values: list[float] = []
-    for line_no, row in rows:
-        if len(row) < 2:
-            raise ParseError(f"{what} line {line_no}: expected 2 fields, got {len(row)}")
-        d = _parse_date(row[0], what, line_no)
-        v = _parse_float(row[1], what, line_no)
-        if not math.isfinite(v):
-            raise ParseError(f"{what} line {line_no}: non-finite value {row[1]!r}")
-        if dates and d <= dates[-1]:
-            raise ParseError(f"{what} line {line_no}: dates not strictly ascending at {d}")
-        if mode == "closes" and v <= 0:
-            raise ParseError(f"{what} line {line_no}: non-positive close {v}")
-        dates.append(d)
-        values.append(v)
+    try:  # by column: any fault sends the parse to the walk below, which raises the first faulty row's error
+        dates = list(map(date.fromisoformat, map(str.strip, map(itemgetter(0), filter(None, rows)))))
+        values = list(map(float, map(itemgetter(1), filter(None, rows))))
+    except (IndexError, ValueError):
+        values = None
+    if not (values is not None and all(map(math.isfinite, values)) and all(map(date.__lt__, dates, dates[1:]))
+            and (mode == "returns" or not values or min(values) > 0)):
+        last = None
+        for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
+            if len(row) < 2:
+                raise ParseError(f"{what} line {line_no}: expected 2 fields, got {len(row)}")
+            d, v = _parse_date(row[0], what, line_no), _parse_float(row[1], what, line_no)
+            if not math.isfinite(v):
+                raise ParseError(f"{what} line {line_no}: non-finite value {row[1]!r}")
+            if last is not None and d <= last:
+                raise ParseError(f"{what} line {line_no}: dates not strictly ascending at {d}")
+            if mode == "closes" and v <= 0:
+                raise ParseError(f"{what} line {line_no}: non-positive close {v}")
+            last = d
     if mode == "closes":
         if len(values) < 3:
             raise ParseError(f"{what}: need >= 3 closes to form >= 2 returns")
-        returns = [_log_ratio(b, a) for a, b in zip(values, values[1:])]
-        dates = dates[1:]
-    else:
-        returns = values
+        dates, values = dates[1:], list(map(_log_ratio, values[1:], values))
     try:
-        return ReturnSeries(dates=tuple(dates), returns=returns)
+        return ReturnSeries(dates=tuple(dates), returns=values)
     except InputError as exc:
         raise ParseError(f"{what}: {exc}") from exc
 
@@ -290,7 +292,7 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
     if extra:
         warnings.warn(f"{what} {path}: ignoring unknown columns {extra}", stacklevel=2)
     points: list[CalibrationPoint] = []
-    for line_no, row in rows:
+    for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
         if len(row) < width:
             raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")
         flag_text = row[idx["clamped"]].strip()

@@ -180,36 +180,23 @@ class GarchParams:
         return np.array([self.mean, self.ar1, self.omega, self.alpha1, self.beta1, 1.0 / self.nu])
 
 
-def _scan(y: np.ndarray, b: float) -> np.ndarray:
+def _passes(y: np.ndarray, tmp: np.ndarray) -> list[tuple]:
+    """The views (d, y[d:], y[:-d], tmp[:y.size - d]) of each pass of _scan over y, at d = 1, 2, 4, ... < y.size."""
+    return [(d, y[d:], y[:-d], tmp[:y.size - d]) for d in (1 << k for k in range((y.size - 1).bit_length()))]
+
+
+def _scan(y: np.ndarray, b: float, passes: list[tuple]) -> np.ndarray:
     """The recurrence y_t = x_t + b y_{t-1} (y_0 = x_0) over x = y, in place, as a doubling scan (Hillis & Steele).
 
     After the pass at d, y_t holds sum_{k < 2d} b^k x_{t-k}; passes run at d = 1, 2, 4, ... until d >= y.size or
     b^d underflows to 0.  Each multiplier is b ** d (within 1 ulp), not repeated squaring (which doubles the error
-    each time).  Overflow is left as inf or nan for the callers' finite and positive checks.
+    each time).  `passes` is _passes(y, tmp).  Overflow is left as inf or nan, under the caller's np.errstate.
     """
-    d = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while d < y.size and (c := b ** d) != 0.0:
-            y[d:] += c * y[:-d]
-            d *= 2
+    for d, head, lag, tmp in passes:
+        if (c := b ** d) == 0.0:
+            break
+        head += np.multiply(lag, c, out=tmp)
     return y
-
-
-def _filter(x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, eta).
-
-    eps_t = r_t - mu0 - phi r_{t-1}; sigma^2_1 = mean(eps^2) and
-    sigma^2_{t+1} = omega + a1 eps^2_t + b1 sigma^2_t, so the last entry is the
-    one-step-ahead forecast.  Overflow is left as inf or nan for the callers' checks.
-    """
-    mu0, phi, omega, a1, b1 = x[:5]
-    s2 = np.empty(r.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        eps = r[1:] - mu0 - phi * r[:-1]
-        eps2 = eps * eps
-        s2[0] = eps2.sum() / eps.size
-        s2[1:] = omega + a1 * eps2
-    return eps, eps2, _scan(s2, b1)
 
 
 _PENALTY = 1e10
@@ -234,51 +221,94 @@ def _t_constant(eta: float) -> tuple[float, float]:
             1.0 / (1.0 - 2.0 * eta) - dh + q * q * ds)
 
 
+class _Workspace:
+    """Buffers and views for the sigma^2 filter and the likelihood of `size` returns, made once: a fit evaluates every
+    point in one.  Temporaries are written with out= by the formulas' float operations, in order, so bits match."""
+
+    def __init__(self, size: int, likelihood: bool = True):
+        n = size - 1
+        self.eps, self.eps2, self.s2, self.tmp = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n + 1)
+        self.s2_now, self.s2_next, self.s2_passes = self.s2[:-1], self.s2[1:], _passes(self.s2, self.tmp)
+        if likelihood:  # a forecast runs only the filter
+            self.d, self.m, self.u, self.log1p_u, self.w, self.e, self.p, self.z, self.z2, self.q, self.t1, self.t2, \
+                self.gr = (np.empty(n) for _ in range(13))  # gr: g = d ll / d sigma^2, reversed (see neg_loglik)
+            self.mask, self.g_next, self.g = np.empty(n, dtype=bool), np.empty(n - 1), self.gr[::-1]
+            self.s2_rev, self.w_rev, self.g_tail, self.t1_head = self.s2[-2::-1], self.w[::-1], self.g[1:], self.t1[:-1]
+            self.g_passes = _passes(self.gr, self.tmp)
+
+    def filter(self, x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, eta):
+        eps_t = r_t - mu0 - phi r_{t-1}; sigma^2_1 = mean(eps^2) and sigma^2_{t+1} = omega + a1 eps^2_t + b1 sigma^2_t,
+        so the last entry is the one-step-ahead forecast.  Overflow is left as inf or nan for the callers' checks."""
+        mu0, phi, omega, a1, b1 = x[:5]
+        eps, eps2, s2 = self.eps, self.eps2, self.s2
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(np.subtract(r[1:], mu0, out=eps2), np.multiply(r[:-1], phi, out=eps), out=eps)
+            np.multiply(eps, eps, out=eps2)
+            s2[0] = eps2.sum() / eps.size
+            np.add(np.multiply(eps2, a1, out=self.s2_next), omega, out=self.s2_next)
+            _scan(s2, b1, self.s2_passes)
+        return eps, eps2, s2
+
+    def neg_loglik(self, params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
+        x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
+        mu0, phi, omega, a1, b1, eta = x
+        penalty = (_PENALTY, np.zeros(6))
+        if not (all(map(math.isfinite, x)) and _admissible(omega, a1, b1, 1.0 / eta if eta else math.inf)):
+            return penalty
+        eps, eps2, _ = self.filter(x, r)
+        s2, g, g_tail, t1, t2, mask = self.s2_now, self.g, self.g_tail, self.t1, self.t2, self.mask
+        if not 0.0 < s2.min() <= s2.max() < math.inf:  # False for NaN
+            return penalty
+        const, dconst = _t_constant(eta)
+        d = np.multiply(s2, 1.0 - 2.0 * eta, out=self.d)
+        m = np.divide(eps2, d, out=self.m)
+        u = np.multiply(m, eta, out=self.u)
+        log1p_u = np.log1p(u, out=self.log1p_u)
+        t1.fill(1.0)
+        ll = eps.size * const - 0.5 * np.log(s2, out=t2).sum() - 0.5 * (1.0 + eta) * np.dot(
+            m, np.divide(log1p_u, u, out=t1, where=np.greater(u, 0, out=mask)))
+        if not math.isfinite(ll):
+            return penalty
+        w = np.divide(np.multiply(m, 1.0 + eta, out=self.w), np.add(u, 1.0, out=t1), out=self.w)
+        # the adjoint runs the filter backwards; it is scanned as a reversed copy, since numpy is slower on negative strides
+        gr = np.multiply(np.subtract(self.w_rev, 1.0, out=self.gr), 0.5, out=self.gr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _scan(np.divide(gr, self.s2_rev, out=gr), b1, self.g_passes)
+        # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t, and s2_init = mean(eps^2)
+        e = np.divide(np.multiply(eps, -(1.0 + eta), out=self.e), np.add(d, np.multiply(eps2, eta, out=t1), out=t1),
+                      out=self.e)
+        np.add(e, np.multiply(eps, 2.0 * g[0] / eps.size, out=t1), out=e)
+        e[:-1] += np.multiply(np.multiply(eps[:-1], 2.0 * a1, out=self.t1_head), g_tail, out=self.t1_head)
+        # eta: -m^2 R'(u)/2 = (m/(2 + u))^2 (1/(1 + z) + z Q), z = u/(2 + u), Q = (atanh z - z)/z^3 or its series at small z
+        p = np.divide(m, np.add(u, 2.0, out=t1), out=self.p)
+        z = np.multiply(p, eta, out=self.z)
+        z2 = np.multiply(z, z, out=self.z2)
+        q = self.q  # the series 1/3 + z2 (1/5 + z2 (1/7 + z2 / 9)), then Q where z > 0.025
+        np.add(np.divide(z2, 9, out=q), 1 / 7, out=q)
+        np.add(np.multiply(z2, q, out=q), 1 / 5, out=q)
+        np.add(np.multiply(z2, q, out=q), 1 / 3, out=q)
+        np.divide(np.subtract(np.multiply(log1p_u, 0.5, out=t1), z, out=t1), np.multiply(z2, z, out=t2), out=q,
+                  where=np.greater(z, 0.025, out=mask))
+        self.g_next[...] = g_tail  # g_2..g_T in order: np.dot would copy the reversed view to call BLAS
+        grad = np.array([
+            -e.sum(), -np.dot(e, r[:-1]),  # mu0, phi
+            g_tail.sum(), np.dot(eps2[:-1], self.g_next), np.dot(s2[:-1], self.g_next),  # omega, a1, b1
+            eps.size * dconst + np.dot(np.multiply(p, p, out=t2), np.add(
+                np.divide(1.0, np.add(z, 1.0, out=t1), out=t1), np.multiply(z, q, out=q), out=t1))
+            - 1.5 * w.sum() / ((1.0 + eta) * (1.0 - 2.0 * eta)),
+        ])
+        return -ll, -grad
+
+
 def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of the returns `r` at x = (mu0, phi, omega, a1, b1, eta = 1/nu), and its gradient:
     ll_t = C(eta) - ln(sigma^2)/2 - (1 + eta) m R(eta m)/2, m = eps^2 / ((1 - 2 eta) sigma^2), R(u) = log1p(u)/u, R(0) = 1:
     eta = 0 is the Gaussian limit, and nothing cancels near it.  The value is _PENALTY (gradient zero) where x is
     non-finite or not _admissible, or the sigma^2 path is not finite and positive.  The gradient is exact:
     g_t = d ll / d sigma^2_t obeys the sigma^2 filter run backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.
-    """
-    x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
-    mu0, phi, omega, a1, b1, eta = x
-    penalty = (_PENALTY, np.zeros(6))
-    if not (all(map(math.isfinite, x)) and _admissible(omega, a1, b1, 1.0 / eta if eta else math.inf)):
-        return penalty
-    eps, eps2, s2 = _filter(x, r)
-    s2 = s2[:-1]
-    if not 0.0 < s2.min() <= s2.max() < math.inf:  # False for NaN
-        return penalty
-    const, dconst = _t_constant(eta)
-    d = (1.0 - 2.0 * eta) * s2
-    m = eps2 / d
-    u = eta * m
-    log1p_u = np.log1p(u)
-    ll = eps.size * const - 0.5 * np.log(s2).sum() - 0.5 * (1.0 + eta) * np.dot(
-        m, np.divide(log1p_u, u, out=np.ones_like(u), where=u > 0))
-    if not math.isfinite(ll):
-        return penalty
-    w = (1.0 + eta) * m / (1.0 + u)
-    # the adjoint runs the filter backwards; it is scanned as a reversed copy, since numpy is slower on negative strides
-    g = _scan(0.5 * (w[::-1] - 1.0) / s2[::-1], b1)[::-1]
-    # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t, and s2_init = mean(eps^2)
-    e = -(1.0 + eta) * eps / (d + eta * eps2) + (2.0 * g[0] / eps.size) * eps
-    e[:-1] += 2.0 * a1 * eps[:-1] * g[1:]
-    # eta: -m^2 R'(u)/2 = (m/(2 + u))^2 (1/(1 + z) + z Q), z = u/(2 + u), Q = (atanh z - z)/z^3 or its series at small z
-    p = m / (2.0 + u)
-    z = eta * p
-    z2 = z * z
-    q = np.divide(0.5 * log1p_u - z, z2 * z, out=1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 / 9)), where=z > 0.025)
-    grad = np.array([
-        -e.sum(),
-        -np.dot(e, r[:-1]),
-        g[1:].sum(),
-        np.dot(eps2[:-1], g[1:]),
-        np.dot(s2[:-1], g[1:]),
-        eps.size * dconst + np.dot(p * p, 1.0 / (1.0 + z) + z * q) - 1.5 * w.sum() / ((1.0 + eta) * (1.0 - 2.0 * eta)),
-    ])
-    return -ll, -grad
+    It is evaluated in a _Workspace made for this call; fit_ar_garch evaluates every point in one that it keeps."""
+    return _Workspace(r.size).neg_loglik(params, r)
 
 
 def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
@@ -287,6 +317,10 @@ def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
 
 # The fit's feasible set: strictly inside _admissible, |phi| < 1, and the Gaussian limit eta = 0 included
 _BOUNDS = [(None, None), (-0.999999, 0.999999), (1e-12, None), (0.0, 1.0), (0.0, 1.0), (0.0, 1 / 2.05)]
+# alpha1 + beta1 <= ub = 0.999999 - 1e-9, as scipy forms LinearConstraint(A = (0, 0, 0, 1, 1, 0), -inf, ub) for SLSQP:
+# -(A x - ub), whose zero terms add exactly, and the row -A with its signed zeros
+_STATIONARITY = {"type": "ineq", "fun": lambda x: (0.999999 - 1e-9) - (x[3] + x[4]),
+                 "jac": lambda x, row=-np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0]): row}
 
 
 def minimize(*args, **kwargs):
@@ -297,10 +331,10 @@ def minimize(*args, **kwargs):
 
 def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     """Maximize the Student-t conditional log-likelihood by SLSQP from one start (restarted once if it fails).
-    SLSQP runs on eta = 1/nu with the exact gradient (see _neg_loglik) inside _BOUNDS and `stationarity`, on
-    returns standardized to unit variance so that every parameter is O(1).  A fit that ends at eta = 0 returns
-    nu = inf, the Gaussian limit.  The reported log-likelihood is garch_log_likelihood at the returned parameters.
-    """
+    SLSQP runs on eta = 1/nu with the exact gradient (see _neg_loglik) inside _BOUNDS and _STATIONARITY, on returns
+    standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  A
+    fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is
+    garch_log_likelihood at the returned parameters."""
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
     u, e = _in_units(series.returns)
@@ -313,20 +347,18 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
         raise EstimationError("degenerate likelihood: series variance is (numerically) zero")
     sd = math.sqrt(var)
     z = series.returns / sd
-    from scipy.optimize import LinearConstraint
-    stationarity = LinearConstraint([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]], -np.inf, 0.999999 - 1e-9)
-
     seen = [_PENALTY, *_starting_points(z)]  # the lowest value SLSQP evaluated, and where
+    workspace = _Workspace(z.size)  # for every evaluation of the fit, and for its log-likelihood
 
     def nll(x, r):
-        value, grad = _neg_loglik(x, r)
+        value, grad = workspace.neg_loglik(x, r)
         if value < seen[0]:
             seen[:] = value, x.copy()
         return value, grad
 
     for _ in range(2):  # a run that does not converge restarts once, from the best point it evaluated
         if minimize(nll, seen[1], args=(z,), jac=True, method="SLSQP", bounds=_BOUNDS,
-                    constraints=[stationarity], options=dict(maxiter=500, ftol=1e-12)).success:
+                    constraints=[_STATIONARITY], options=dict(maxiter=500, ftol=1e-12)).success:
             break
     if seen[0] >= _PENALTY:
         raise EstimationError("the optimizer found no parameters with a finite likelihood")
@@ -334,12 +366,17 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     mu0, phi, omega, a1, b1, eta = seen[1] * np.array([sd, 1.0, var, 1.0, 1.0, 1.0])  # back to returns
     params = GarchParams(ar1=float(phi), mean=float(mu0), omega=float(omega),
                          alpha1=float(a1), beta1=float(b1), nu=float(1.0 / eta) if eta > 0 else math.inf)
-    return replace(params, log_likelihood=garch_log_likelihood(params, series))
+    return replace(params, log_likelihood=_log_likelihood(params, series, workspace))
 
 
 def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
     """Student-t conditional log-likelihood of the daily log-returns `series` under `params`."""
-    nll = _neg_loglik(params._vector(), series.returns)[0]
+    return _log_likelihood(params, series, _Workspace(len(series)))
+
+
+def _log_likelihood(params: GarchParams, series: ReturnSeries, workspace: _Workspace) -> float:
+    """garch_log_likelihood, evaluated in `workspace`."""
+    nll = workspace.neg_loglik(params._vector(), series.returns)[0]
     if nll == _PENALTY:
         raise InputError("likelihood undefined: sigma^2 path is not finite and positive for this series")
     return float(-nll)
@@ -347,7 +384,7 @@ def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
 
 def garch_forecast_vol(params: GarchParams, series: ReturnSeries) -> VolEstimate:
     """One-step-ahead conditional sigma: the last entry of the filtered sigma^2 path."""
-    s2_next = _filter(params._vector(), series.returns)[2][-1]
+    s2_next = _Workspace(len(series), likelihood=False).filter(params._vector(), series.returns)[2][-1]
     if not math.isfinite(s2_next) or s2_next <= 0:
         raise InputError("forecast variance is not positive; params invalid for this series")
     return VolEstimate.from_daily("garch", math.sqrt(s2_next), len(series), series.as_of)

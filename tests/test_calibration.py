@@ -112,6 +112,14 @@ def test_moneyness_outside_the_float_range_is_refused(spot, strike):
         implied_excess_predictability(1e-301 if spot < strike else 1.0, spot, strike, 1.0, 0.05, 0.2)
 
 
+def test_a_first_slope_that_overflows_bisects_instead_of_stepping():
+    # at p = -1 dC/dp = -sigma^2 tau S e^{sigma^2 tau} Phi(d_+) overflows to -inf: that slope takes no Newton step,
+    # so the solve bisects to the root p = 0 (a step of -0.0 from it would return -1.0 with model price 1e307)
+    s = 1e307 / math.exp(100)
+    point = implied_excess_predictability(3.7200738432895837e+263, s, s, 1.0, 0.0, 10.0)
+    assert point.p == 0.0 and point.clamped is ClampStatus.NONE
+
+
 def test_quote_whose_moneyness_overflows_is_a_surface_failure():
     qd = date(2015, 1, 2)
     quotes = tuple(OptionQuote(quote_date=qd, expiry_date=date(2016, 1, 2), strike=strike,

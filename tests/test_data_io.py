@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -207,6 +208,28 @@ def test_parse_returns_nonpositive_close_fatal():
     text = "date,close\n2015-01-02,100\n2015-01-05,-4\n2015-01-06,100\n"
     with pytest.raises(ParseError):
         parse_return_series(io.StringIO(text))
+
+
+def test_parse_returns_counts_blank_lines_in_a_bad_rows_line_number():
+    text = "date,log_return\n2015-01-02,0.01\n\n\n2015-01-05,0.02\n\n2015-01-06,nan\n"
+    with pytest.raises(ParseError, match=r"^return series line 7: non-finite value 'nan'$"):
+        parse_return_series(io.StringIO(text))
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    ("log_return", ["2015-01-05,0.01", "2015-01-02,0.02", "2015-01-06,x"],
+     "line 3: dates not strictly ascending at 2015-01-02"),
+    ("log_return", ["2015-01-02,0.01", "2015-01-05,x", "2015-01-03,0.02"], "line 3: bad number 'x'"),
+    ("log_return", ["2015-01-02,0.01", "", "2015-01-05,inf", "2015-13-01,0.02"], "line 4: non-finite value 'inf'"),
+    ("log_return", ["2015-01-02,0.01", "2015-01-03", "2015-01-04,nan"], "line 3: expected 2 fields, got 1"),
+    ("close", ["2015-01-02,100", "2015-01-05,-1", "bad,3"], "line 3: non-positive close -1.0"),
+    ("close", ["2015-01-02,100", "x,1", "2015-01-03,0"], "line 3: bad date 'x'"),
+    ("close", ["2015-01-02,100", "2015-01-03,0", "2015-01-01,5"], "line 3: non-positive close 0.0"),
+])
+def test_parse_returns_reports_the_first_faulty_line(header, rows, message):
+    # two faults of different kinds: the message is the earlier line's, whichever kind a column meets first
+    with pytest.raises(ParseError, match=f"^return series {re.escape(message)}$"):
+        parse_return_series(io.StringIO("\n".join([f"date,{header}", *rows]) + "\n"))
 
 
 def test_parse_returns_bad_header():

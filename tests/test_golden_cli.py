@@ -6,7 +6,9 @@ the exit code and stdout of every invocation, stderr of every failing one,
 and the bytes of every file the case leaves in that directory.
 
 Inputs are the chain fixture and tests/fixtures/golden/returns.csv, written
-once from `simulate_ar_garch`.  After a change that is meant to alter CLI
+once from `simulate_ar_garch`; closes.csv (its closes from 100) and
+returns_blank_nan.csv (it with a blank line and a later nan) are written
+once from returns.csv.  After a change that is meant to alter CLI
 output, regenerate the record with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -31,6 +33,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 RECORD = GOLDEN / "cli_outputs.json"
 RETURNS = GOLDEN / "returns.csv"
+CLOSES = GOLDEN / "closes.csv"
+DIRTY_RETURNS = GOLDEN / "returns_blank_nan.csv"
 CHAIN = FIXTURES / "chain_2015_mimic.csv"
 
 PRICE = ["price", "--spot", "206.38", "--strike", "200", "--tau", "0.25",
@@ -89,11 +93,13 @@ CASES: dict[str, list[list[str]]] = {
     "simulate_seed_out_of_range": [["simulate", "--mu", "0", "--sigma", "0.2", "--paths", "10",
                                     "--steps", "2", "--seed", "-1"]],
     "surface_out_json": [SURF + ["--method", "vix", "--vix", "15", "--out", "s.json"]],
+    "vol_garch_closes_table": [["vol", "--method", "garch", "--returns", "{closes}"]],
+    "vrp_returns_blank_then_nan": [["vrp", "--vix", "25", "--returns", "{dirty_returns}"]],
 }
 
 
 def _expand(argv: list[str]) -> list[str]:
-    return [a.format(chain=CHAIN, returns=RETURNS) for a in argv]
+    return [a.format(chain=CHAIN, returns=RETURNS, closes=CLOSES, dirty_returns=DIRTY_RETURNS) for a in argv]
 
 
 def _invoke(argv: list[str]) -> dict:
@@ -149,12 +155,28 @@ def _write_returns_fixture() -> None:
     RETURNS.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_fixtures_from_returns() -> None:
+    import math
+
+    rows = [line.split(",") for line in RETURNS.read_text(encoding="utf-8").splitlines()[1:]]
+    closes, close = ["date,close", "2014-01-01,100"], 100.0
+    for d, r in rows:
+        close *= math.exp(float(r))
+        closes.append(f"{d},{close:.17g}")
+    CLOSES.write_text("\n".join(closes) + "\n", encoding="utf-8")
+    dirty = ["date,log_return"] + [f"{d},{'nan' if i == 39 else r}" for i, (d, r) in enumerate(rows)]
+    dirty.insert(11, "")  # a blank line 12, so the nan is on line 42
+    DIRTY_RETURNS.write_text("\n".join(dirty) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    if not RETURNS.exists():  # an input, written once; re-recording keeps it
+    if not RETURNS.exists():  # inputs, written once; re-recording keeps them
         _write_returns_fixture()
+    if not CLOSES.exists():
+        _write_fixtures_from_returns()
     out = {}
     for case, case_steps in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
@@ -25,7 +26,8 @@ from predbs.volatility import (
     variance_risk_premium,
     vix_to_sigma,
 )
-from predbs.volatility import _BOUNDS, _admissible, _filter, _neg_loglik, _scan, _starting_points, _t_constant
+from predbs.volatility import (_BOUNDS, _Workspace, _admissible, _neg_loglik, _passes, _scan, _starting_points,
+                               _t_constant)
 
 
 def make_series(returns):
@@ -248,7 +250,7 @@ def test_sigma2_recursion_matches_naive_loop():
     rng = np.random.Generator(np.random.Philox(key=42))
     r = rng.normal(0.0, 0.01, size=201)
     omega, a1, b1 = 1e-6, 0.08, 0.9
-    eps, eps2, fast = _filter(np.array([1e-4, 0.1, omega, a1, b1, 6.0]), r)
+    eps, eps2, fast = _Workspace(r.size).filter(np.array([1e-4, 0.1, omega, a1, b1, 6.0]), r)
     assert np.array_equal(eps, r[1:] - 1e-4 - 0.1 * r[:-1])
     assert fast[0] == np.mean(eps2)  # sigma^2_1, then sigma^2_2..sigma^2_T and the one-step forecast
     xs = [_dyadic(fast[0]) << 1074] + [(_dyadic(omega) << 1074) + _dyadic(a1) * _dyadic(e2) for e2 in eps2.tolist()]
@@ -262,7 +264,8 @@ def test_scan_is_the_recurrence_within_its_bound(n, b, signs):
     x = np.random.Generator(np.random.Philox(key=n)).standard_normal(n)
     if signs == "positive":
         x = np.abs(x)
-    got = _scan(x.copy(), b)
+    got = x.copy()
+    _scan(got, b, _passes(got, np.empty(n)))
     assert scan_error(got, [_dyadic(v) for v in x.tolist()], b) <= scan_bound(n)
     if b == 0.0 or n == 1:
         assert np.array_equal(got, x)  # no pass
@@ -480,6 +483,34 @@ def test_garch_fit_without_a_finite_likelihood_is_refused(monkeypatch):
         success=fun(-x0, *args)[0] < volatility._PENALTY))
     with pytest.raises(EstimationError, match="no parameters with a finite likelihood"):
         fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=300, seed=1))
+
+
+def test_a_fits_evaluations_after_its_first_allocate_less_than_one_series_array(monkeypatch):
+    # the fit makes one workspace, for every evaluation and for its log-likelihood; with a fresh array per
+    # temporary an evaluation peaked at about 18 series-sized arrays
+    n, minimize, peaks, made = 5_000, volatility.minimize, [], []
+
+    class Workspace(volatility._Workspace):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    def traced(fun, x0, args, **kwargs):
+        def measured(x, *a):
+            tracemalloc.start()
+            try:
+                out = fun(x, *a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+        return minimize(measured, x0, args, **kwargs)
+
+    monkeypatch.setattr(volatility, "_Workspace", Workspace)
+    monkeypatch.setattr(volatility, "minimize", traced)
+    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=n, seed=3))
+    assert made == [(n,)] and len(peaks) > 10
+    assert max(peaks[1:]) < 8 * n
 
 
 def test_garch_requires_min_length():
