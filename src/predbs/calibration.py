@@ -205,20 +205,20 @@ def build_surface(chain, rate: float, vol) -> PredictabilitySurface:
     for q in sorted(quotes, key=lambda q: (q.expiry_date, q.strike)):
         tau = (q.expiry_date - chain.quote_date).days / DAYS_PER_YEAR
         key = (spot / q.strike, tau)
-        label = f"expiry={q.expiry_date} strike={q.strike}"
         if key in seen:
-            failures.append(f"{label}: duplicate (moneyness, tau) grid point, skipped")
-            continue
-        if q.mid <= 0:
-            failures.append(f"{label}: non-positive mid {q.mid}, skipped")
-            continue
-        try:
-            pt = implied_excess_predictability(q.mid, spot, q.strike, tau, rate, sigma)
-        except (InputError, QuoteRejectedError) as exc:
-            failures.append(f"{label}: {exc}")
-            continue
-        seen.add(key)
-        points.append(pt)
+            failure = "duplicate (moneyness, tau) grid point, skipped"
+        elif q.mid <= 0:
+            failure = f"non-positive mid {q.mid}, skipped"
+        else:
+            try:
+                pt = implied_excess_predictability(q.mid, spot, q.strike, tau, rate, sigma)
+            except (InputError, QuoteRejectedError) as exc:
+                failure = exc
+            else:
+                seen.add(key)
+                points.append(pt)
+                continue
+        failures.append(f"expiry={q.expiry_date} strike={q.strike}: {failure}")
     return PredictabilitySurface(
         method=vol.method, spot=spot, rate=rate, as_of=chain.quote_date,
         points=tuple(points), failures=tuple(failures),

@@ -3,12 +3,15 @@
 Subcommands: price, simulate, vol, vrp, calibrate, surface, diff-surface.
 Summaries go to stdout (table, csv or json); data files go to --out paths.
 Exit codes: 0 success, 1 domain error, 2 usage error.  Identical invocations
-on identical inputs produce byte-identical output.
+on identical inputs produce byte-identical output.  main builds its parser once
+per process and reuses it, so in-process callers do not pay for argparse on
+every call; build_parser returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -274,9 +277,14 @@ def cmd_diff_surface(args) -> int:
     return 0
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main reuses: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PredbsError, OSError) as exc:

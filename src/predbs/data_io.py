@@ -4,9 +4,10 @@ Parsers are total: any byte stream either yields a validated value or raises
 ParseError / DataQualityError with a line-level message, never an unrelated
 exception.  Dirty rows are skipped with a diagnostic (real chain downloads
 are dirty); files where more than half the rows fail are rejected outright.
-Floats are serialized with 17 significant digits so write-then-read is the
-identity on binary64 values.  Outputs are overwritten in place and cut to
-length; like the truncating open(path, "w") this replaces, that is not atomic.
+Floats are serialized with 17 significant digits, by the row formats
+_SURFACE_ROW and _DIFF_ROW, so write-then-read is the identity on binary64
+values.  Outputs are overwritten in place and cut to length; like the
+truncating open(path, "w") this replaces, that is not atomic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
 
@@ -45,6 +46,11 @@ Source = Union[str, Path, TextIO, io.IOBase]
 CHAIN_HEADER = ["quote_date", "expiry", "strike", "right", "bid", "ask"]
 SURFACE_HEADER = ["moneyness", "tau_years", "p", "clamped", "market_price", "model_price", "residual"]
 DIFF_HEADER = ["moneyness", "tau_years", "dp"]
+# '%.17g' % x is format(x, ".17g"): 17 significant digits round-trip every binary64 value
+_SURFACE_ROW = "%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g\n"
+_SURFACE_CELLS = attrgetter("moneyness", "tau", "p", "clamped.value", "market_price", "model_price", "residual")
+_DIFF_ROW = "%.17g,%.17g,%.17g\n"
+_CLAMP_FLAGS = {s.value: s for s in ClampStatus}
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,7 @@ def parse_option_chain(source: Source, spot: float) -> OptionChain:
     header, rows = _read_csv(source, what)
     rows = list(filter(itemgetter(1), enumerate(rows, start=2)))  # the non-blank rows, numbered by line
     idx, width = _column_index(header, CHAIN_HEADER, what)
+    fields = itemgetter(*map(idx.__getitem__, CHAIN_HEADER))
     quotes: list[OptionQuote] = []
     skipped: list[str] = []
     chain_date: Optional[date] = None
@@ -170,17 +177,15 @@ def parse_option_chain(source: Source, spot: float) -> OptionChain:
         try:
             if len(row) < width:
                 raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")
-            qd = _parse_date(row[idx["quote_date"]], what, line_no)
-            expiry = _parse_date(row[idx["expiry"]], what, line_no)
-            right = row[idx["right"]].strip().lower()
-            quote = OptionQuote(
-                quote_date=qd,
-                expiry_date=expiry,
-                strike=_parse_float(row[idx["strike"]], what, line_no),
-                right=right,
-                bid=_parse_float(row[idx["bid"]], what, line_no),
-                ask=_parse_float(row[idx["ask"]], what, line_no),
-            )
+            qd_text, expiry_text, strike_text, right_text, bid_text, ask_text = fields(row)
+            try:
+                qd, expiry = date.fromisoformat(qd_text.strip()), date.fromisoformat(expiry_text.strip())
+                strike, bid, ask = float(strike_text), float(bid_text), float(ask_text)
+            except ValueError:  # again through the wrappers, which name the first bad field
+                qd, expiry = _parse_date(qd_text, what, line_no), _parse_date(expiry_text, what, line_no)
+                strike, bid, ask = (_parse_float(strike_text, what, line_no), _parse_float(bid_text, what, line_no),
+                                    _parse_float(ask_text, what, line_no))
+            quote = OptionQuote(qd, expiry, strike, right_text.strip().lower(), bid, ask)
             if chain_date is None:
                 chain_date = quote.quote_date
             elif quote.quote_date != chain_date:
@@ -242,10 +247,6 @@ def parse_return_series(source: Source) -> ReturnSeries:
         raise ParseError(f"{what}: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _meta_path(path: Union[str, Path]) -> Path:
     return Path(path).with_suffix(".json")
 
@@ -272,9 +273,7 @@ def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> Non
         raise InputError(f"surface path {path} ends in .json, the metadata sidecar's own name")
     with _overwrite(path) as fh:
         fh.write(",".join(SURFACE_HEADER) + "\n")
-        fh.writelines(f"{_fmt(pt.moneyness)},{_fmt(pt.tau)},{_fmt(pt.p)},{pt.clamped.value},"
-                      f"{_fmt(pt.market_price)},{_fmt(pt.model_price)},{_fmt(pt.residual)}\n"
-                      for pt in surface.points)
+        fh.writelines(map(_SURFACE_ROW.__mod__, map(_SURFACE_CELLS, surface.points)))
     meta = {"method": surface.method, "spot": surface.spot, "rate": surface.rate,
             "as_of": surface.as_of.isoformat() if surface.as_of else None,
             "points": len(surface.points), "failures": list(surface.failures)}
@@ -291,27 +290,37 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
     extra = [col for col in header if col not in SURFACE_HEADER]
     if extra:
         warnings.warn(f"{what} {path}: ignoring unknown columns {extra}", stacklevel=2)
-    points: list[CalibrationPoint] = []
-    for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
-        if len(row) < width:
-            raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")
-        flag_text = row[idx["clamped"]].strip()
-        try:
-            flag = ClampStatus(flag_text)
-        except ValueError as exc:
-            raise ParseError(f"{what} line {line_no}: unknown clamp flag {flag_text!r}") from exc
-        try:
-            points.append(CalibrationPoint(
-                moneyness=_parse_float(row[idx["moneyness"]], what, line_no),
-                tau=_parse_float(row[idx["tau_years"]], what, line_no),
-                p=_parse_float(row[idx["p"]], what, line_no),
-                clamped=flag,
-                market_price=_parse_float(row[idx["market_price"]], what, line_no),
-                model_price=_parse_float(row[idx["model_price"]], what, line_no),
-                residual=_parse_float(row[idx["residual"]], what, line_no),
-            ))
-        except InputError as exc:
-            raise ParseError(f"{what} line {line_no}: {exc}") from exc
+    data = list(filter(None, rows))
+    column = lambda col: map(itemgetter(idx[col]), data)
+    floats = lambda col: map(float, column(col))
+    try:  # by column: any fault sends the parse to the walk below, which raises the first faulty line's error
+        points = list(map(CalibrationPoint, floats("moneyness"), floats("tau_years"), floats("p"),
+                          map(_CLAMP_FLAGS.__getitem__, map(str.strip, column("clamped"))),
+                          floats("market_price"), floats("model_price"), floats("residual")))
+    except (IndexError, KeyError, ValueError):  # InputError is a ValueError
+        points = None
+    if points is None:
+        points = []
+        for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
+            if len(row) < width:
+                raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")
+            flag_text = row[idx["clamped"]].strip()
+            try:
+                flag = ClampStatus(flag_text)
+            except ValueError as exc:
+                raise ParseError(f"{what} line {line_no}: unknown clamp flag {flag_text!r}") from exc
+            try:
+                points.append(CalibrationPoint(
+                    moneyness=_parse_float(row[idx["moneyness"]], what, line_no),
+                    tau=_parse_float(row[idx["tau_years"]], what, line_no),
+                    p=_parse_float(row[idx["p"]], what, line_no),
+                    clamped=flag,
+                    market_price=_parse_float(row[idx["market_price"]], what, line_no),
+                    model_price=_parse_float(row[idx["model_price"]], what, line_no),
+                    residual=_parse_float(row[idx["residual"]], what, line_no),
+                ))
+            except InputError as exc:
+                raise ParseError(f"{what} line {line_no}: {exc}") from exc
 
     meta_file = _meta_path(path)
     if not meta_file.exists():
@@ -341,5 +350,4 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
 def write_surface_diff(diff: SurfaceDiff, path: Union[str, Path]) -> None:
     with _overwrite(path) as fh:
         fh.write(",".join(DIFF_HEADER) + "\n")
-        for m, t, dp in diff.points:
-            fh.write(f"{_fmt(m)},{_fmt(t)},{_fmt(dp)}\n")
+        fh.writelines(_DIFF_ROW % (m, t, dp) for m, t, dp in diff.points)

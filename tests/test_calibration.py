@@ -208,6 +208,30 @@ def test_round_trip_within_conditioning_bound(spot, moneyness, tau, rate, sigma,
     assert abs(pt.p - p) <= bound
 
 
+_P_WITH_EDGES = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    spot=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    moneyness=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+    tau=st.floats(1 / 365, 2.0),
+    rate=st.floats(-0.01, 0.1),
+    sigma=st.floats(0.01, 2.0),
+    ps=st.lists(_P_WITH_EDGES, min_size=2, max_size=2, unique=True).map(sorted),
+)
+def test_call_strictly_decreases_in_p(spot, moneyness, tau, rate, sigma, ps):
+    # C is convex in p, so C(p1) - C(p2) >= |dC/dp(p2)| (p2 - p1) for p1 < p2.  Where that exceeds the
+    # rounding E(C) of both prices, the priced values are strictly ordered.  Closer pairs are not
+    # asserted: p = 0 and 2.4e-278 price the same at spot = moneyness = tau = sigma = 1, and
+    # C(1 - 2^-53) < C(1) by rounding at spot = moneyness = 1, tau = 1.7474444822320874, sigma = 1.5.
+    kw = dict(spot=spot, strike=spot / moneyness, tau=tau, rate=rate, sigma=sigma)
+    low, high = (PricingInputs(p=p, **kw) for p in ps)
+    slope = dprice_dp(high)
+    if slope != 0.0 and -slope * (high.p - low.p) > pricer_rounding(low) + pricer_rounding(high):
+        assert call_price(low).price > call_price(high).price
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     spot=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
@@ -365,7 +389,7 @@ def test_surface_records_failures_not_fatal():
 
 
 def test_surface_records_duplicate_grid_point():
-    # build_surface: `failures.append(f"{label}: duplicate (moneyness, tau) grid point, skipped")`
+    # build_surface records a repeated (moneyness, tau) as a failure and calibrates it once
     qd = date(2015, 1, 2)
     quote = OptionQuote(quote_date=qd, expiry_date=date(2015, 4, 2), strike=100.0,
                         right="call", bid=9.0, ask=9.2)

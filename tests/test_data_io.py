@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from predbs.data_io import (
     write_surface,
     write_surface_diff,
 )
-from predbs import data_io
 from predbs.calibration import SurfaceDiff
 from predbs.errors import DataQualityError, InputError, ParseError, PredbsError
 
@@ -142,6 +142,29 @@ def test_parse_chain_skips_row_short_of_a_later_column():
     chain = parse_option_chain(io.StringIO(text), spot=100)
     assert len(chain) == 1
     assert chain.skipped == ("option chain line 3: expected 7 fields, got 6",)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2015-01-02,2015-03-20,210,call,5.0,4.8", "ask 4.8 below bid 5.0"),
+    ("2015-01-02,2015-02-30,210,call,4.8,5.0", "bad date '2015-02-30'"),
+    ("2015-01-02,2015-03-20,n/a,call,4.8,5.0", "bad number 'n/a'"),
+    ("2015-01-02,2015-03-20,210,call,-0.5,5.0", "bid must be >= 0, got -0.5"),
+    ("2015-01-02,2015-03-20,210,call,4.8", "expected 6 fields, got 5"),
+    ("2015-01-03,2015-03-20,210,call,4.8,5.0", "quote_date 2015-01-03 differs from 2015-01-02"),
+    ("2015-01-02,2015-03-20,210,straddle,4.8,5.0", "right must be call or put, got 'straddle'"),
+    ("2015-01-02,2014-12-30,210,call,4.8,5.0", "expiry 2014-12-30 before quote date 2015-01-02"),
+    ("2015-01-02,2015-03-20,210,call,4.8,nan", "bid and ask must be finite"),
+    # two bad fields in one row: the message names the first in header order
+    ("2015-01-02,2015-02-30,n/a,call,4.8,5.0", "bad date '2015-02-30'"),
+    ("2015-01-02,2015-03-20,210,call,x,y", "bad number 'x'"),
+], ids=["crossed", "bad_date", "bad_strike", "negative_bid", "short_row", "other_quote_date",
+        "bad_right", "expired", "nan_ask", "bad_date_and_strike", "bad_bid_and_ask"])
+def test_parse_chain_skip_message_of_each_dirty_row_kind(row, message):
+    # the blank line counts: the dirty row is line 5
+    text = chain_text(["2015-01-02,2015-03-20,200,call,10.0,10.5", "", "2015-01-02,2015-03-20,220,call,2.0,2.2", row])
+    chain = parse_option_chain(io.StringIO(text), spot=206.38)
+    assert len(chain) == 2
+    assert chain.skipped == (f"option chain line 5: {message}",)
 
 
 def test_option_quote_validation():
@@ -411,6 +434,26 @@ def test_surface_read_takes_only_finite_positive_moneyness(tmp_path, moneyness, 
             read_surface(out)
 
 
+_ROW = "1.25,0.25,0.5,none,4,4,0"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([_ROW, "1.5,0.25,x,none,4,4,0", _ROW, "1.75,0.25,0.5,sometimes,4,4,0"], "line 3: bad number 'x'"),
+    ([_ROW, "1.5,0.25,0.5,sometimes,4,4,0", _ROW, "1.75,0.25,x,none,4,4,0"], "line 3: unknown clamp flag 'sometimes'"),
+    ([_ROW, "", "", "1.5,0.25,0.5,sometimes,4,4,0", "1.75,x,0.5,none,4,4,0"], "line 5: unknown clamp flag 'sometimes'"),
+    (["1.25,0.25,0.5,none,4,4,z", "x,0.25,0.5,none,4,4,0"], "line 2: bad number 'z'"),
+    ([_ROW, "1.5,0.25,1.5,none,4,4,0", "1.75,0.25,0.5,none,4"], "line 3: calibrated p must be in [-1, 1], got 1.5"),
+    ([_ROW, "", "1.5,0.25,0.5,none,4,4", "0,0.25,0.5,none,4,4,0"], "line 4: expected 7 fields, got 6"),
+])
+def test_surface_read_reports_the_first_faulty_line(tmp_path, rows, message):
+    # two faults of different kinds: the message is the earlier line's, and blank lines count in its number
+    out = tmp_path / "surface.csv"
+    out.write_text("\n".join([",".join(SURFACE_HEADER), *rows]) + "\n")
+    (tmp_path / "surface.json").write_text(json.dumps({"method": "vix", "spot": 1.0, "rate": 0.0, "points": 9}))
+    with pytest.raises(ParseError, match=f"^surface {re.escape(message)}$"):
+        read_surface(out)
+
+
 def test_write_surface_diff(tmp_path):
     diff = SurfaceDiff(base_method="realized", other_method="vix",
                        points=((1.0, 0.25, 0.125), (1.05, 0.25, -0.5)))
@@ -498,22 +541,18 @@ def test_writer_opens_without_truncating(tmp_path, writer, monkeypatch):
     assert len(flags) == len(names) and not any(flag & os.O_TRUNC for flag in flags)
 
 
-def test_failed_write_leaves_a_prefix_and_no_stale_tail(tmp_path, monkeypatch):
+class _UnreadablePoint:
+    def __getattr__(self, name):
+        raise RuntimeError("formatting failed")
+
+
+def test_failed_write_leaves_a_prefix_and_no_stale_tail(tmp_path):
     expected = _fresh_bytes(tmp_path, "surface")["s.csv"]
     out = tmp_path / "s.csv"
     out.write_bytes(b"9" * 100_000)
-    calls = []
-    real_fmt = data_io._fmt
-
-    def fail_in_row_ten(x):  # a row formats 6 floats
-        calls.append(x)
-        if len(calls) > 6 * 9:
-            raise RuntimeError("formatting failed")
-        return real_fmt(x)
-
-    monkeypatch.setattr(data_io, "_fmt", fail_in_row_ten)
+    points = _SURFACE.points[:9] + (_UnreadablePoint(),) + _SURFACE.points[10:]
     with pytest.raises(RuntimeError, match="formatting failed"):
-        write_surface(_SURFACE, out)
+        write_surface(SimpleNamespace(points=points), out)
     # the header and the nine rows written in full, cut there
     assert out.read_bytes() == b"".join(expected.splitlines(keepends=True)[:10])
 
