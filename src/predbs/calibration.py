@@ -13,8 +13,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 from typing import Optional
 
 from .errors import InputError, QuoteRejectedError
@@ -177,10 +179,8 @@ class PredictabilitySurface:
         return {(pt.moneyness, pt.tau): pt for pt in self.points}
 
     def clamp_counts(self) -> dict[str, int]:
-        counts = {s.value: 0 for s in ClampStatus}
-        for pt in self.points:
-            counts[pt.clamped.value] += 1
-        return counts
+        counts = Counter(map(attrgetter("clamped"), self.points))  # by member: each .value is read once
+        return {s.value: counts[s] for s in ClampStatus}
 
 
 def build_surface(chain, rate: float, vol) -> PredictabilitySurface:

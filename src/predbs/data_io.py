@@ -48,9 +48,10 @@ SURFACE_HEADER = ["moneyness", "tau_years", "p", "clamped", "market_price", "mod
 DIFF_HEADER = ["moneyness", "tau_years", "dp"]
 # '%.17g' % x is format(x, ".17g"): 17 significant digits round-trip every binary64 value
 _SURFACE_ROW = "%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g\n"
-_SURFACE_CELLS = attrgetter("moneyness", "tau", "p", "clamped.value", "market_price", "model_price", "residual")
+_SURFACE_CELLS = attrgetter("moneyness", "tau", "p", "clamped", "market_price", "model_price", "residual")
 _DIFF_ROW = "%.17g,%.17g,%.17g\n"
 _CLAMP_FLAGS = {s.value: s for s in ClampStatus}
+_CLAMP_TEXT = {s: s.value for s in ClampStatus}  # a dict lookup, not enum's Python-level .value, per row
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,8 @@ def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> Non
         raise InputError(f"surface path {path} ends in .json, the metadata sidecar's own name")
     with _overwrite(path) as fh:
         fh.write(",".join(SURFACE_HEADER) + "\n")
-        fh.writelines(map(_SURFACE_ROW.__mod__, map(_SURFACE_CELLS, surface.points)))
+        fh.writelines(_SURFACE_ROW % (m, t, p, _CLAMP_TEXT[flag], price, model, residual)
+                      for m, t, p, flag, price, model, residual in map(_SURFACE_CELLS, surface.points))
     meta = {"method": surface.method, "spot": surface.spot, "rate": surface.rate,
             "as_of": surface.as_of.isoformat() if surface.as_of else None,
             "points": len(surface.points), "failures": list(surface.failures)}

@@ -25,6 +25,7 @@ seed, with path i owning row i of a fixed (paths, steps) draw layout, so
 batches are bit-reproducible and independent of any internal parallelism.
 The simulator draws that layout in row blocks, in O(paths + block) memory; statistics are fixed-order
 block sums in O(block). The MC pricer samples the forward and forms its payoff on the one paths-long array.
+Each function that calls numpy imports it in its body, so importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import InputError
 from .pricing import PricingInputs, call_price, _scaled_exp, dividend_yield_due_to_predictability
@@ -58,6 +57,7 @@ def _philox(seed: int) -> np.random.Generator:
     """The Philox stream keyed by seed, the one draw source of the package; its key is an integer in [0, 2^128)."""
     if not 0 <= seed < 1 << 128:
         raise InputError(f"seed must be in [0, 2^128), got {seed}")
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -69,6 +69,7 @@ class BrownianPath:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "times", times)
@@ -98,6 +99,7 @@ class BrownianPath:
         """Draw a path with i.i.d. Normal(0, dt) increments from a seeded Philox stream."""
         if steps < 1 or horizon <= 0:
             raise InputError("steps must be >= 1 and horizon > 0")
+        import numpy as np
         dt = horizon / steps
         inc = _philox(seed).normal(0.0, math.sqrt(dt), size=steps)
         times = np.linspace(0.0, horizon, steps + 1)
@@ -107,6 +109,7 @@ class BrownianPath:
     @classmethod
     def from_csv(cls, path) -> "BrownianPath":
         """Load a fixture path from CSV with header ``t,B``."""
+        import numpy as np
         try:
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except (OSError, ValueError) as exc:
@@ -139,10 +142,12 @@ class IntegrandPath:
     @classmethod
     def from_brownian(cls, b: BrownianPath, fine: Optional[BrownianPath] = None) -> "IntegrandPath":
         """theta = B, linearly interpolated between the nodes of `fine` (default `b`)."""
+        import numpy as np
         rec = b if fine is None else fine
         return cls(lambda t: np.interp(t, rec.times, rec.values))
 
     def at(self, t: np.ndarray) -> np.ndarray:
+        import numpy as np
         return np.asarray(self.evaluator(t), dtype=float)
 
 
@@ -159,6 +164,7 @@ def stratonovich_alpha_integral(theta: IntegrandPath, b: BrownianPath, alpha: fl
     """
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
+    import numpy as np
     t_off = b.times[:-1] * (1.0 - alpha) + alpha * b.times[1:]
     return float(np.sum(theta.at(t_off) * np.diff(b.values)))
 
@@ -210,6 +216,7 @@ class PathBatch:
 
     @property
     def terminal(self) -> np.ndarray:
+        import numpy as np
         return self.config.s0 * np.exp(self.log_return)
 
     def mean_log_return(self) -> tuple[float, float]:
@@ -223,6 +230,7 @@ def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
     Without spread (n = 1 included) there is no sampling error; std would show the mean's rounding.
     Taken on x scaled exactly by the power of two that brings max |x| into [1/2, 1): no overflow.
     """
+    import numpy as np
     e, blocks = math.frexp(float(max(x.max(), -x.min())))[1], range(0, x.size, _BLOCK)
     mean = sum(float(np.sum(np.ldexp(x[i:i + _BLOCK], -e))) for i in blocks) / x.size
     ss = sum(float(np.sum((np.ldexp(x[i:i + _BLOCK], -e) - mean) ** 2)) for i in blocks)
@@ -236,6 +244,7 @@ def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
     alpha = 0 is the left-point (Ito) SDE dS = mu S dt + sigma S dB.
     The (paths, steps) draw comes in blocks of whole rows (path i owns row i): memory O(paths + block).
     """
+    import numpy as np
     dt = cfg.horizon / cfg.steps
     inc_drift = cfg.log_drift * dt
     inc_vol = cfg.sigma * math.sqrt(dt)
@@ -284,6 +293,7 @@ def mc_risk_neutral_call(
     fwd = _scaled_exp(s0, (rate - inputs.dividend_yield) * tau)
     if fwd == math.inf:  # E[(S_T - K)^+] is then past the float range too
         raise InputError("risk-neutral forward s0 e^((r - q) tau) overflows the float range")
+    import numpy as np
     e, disc = math.frexp(max(fwd, strike))[1], math.exp(-rate * tau)
     # S_T and K in exact units of 2^e ~ max(F, K): an S_T near the largest float and a K far past F stay finite
     x = _log_exact(cfg).log_return  # this call's own batch: the payoff is formed over it in place

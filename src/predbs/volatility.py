@@ -9,7 +9,9 @@ Four ways to put a number on sigma_t from daily data:
                     with standardized Student-t innovations
 
 All estimates carry both a daily and an annual figure linked by the
-calendar-day convention sigma_annual = sigma_daily * sqrt(365).
+calendar-day convention sigma_annual = sigma_daily * sqrt(365).  Each function
+that calls numpy (or scipy) imports it in its body, so importing this module
+loads neither: the vix method runs without them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Optional
-
-import numpy as np
 
 from .errors import EstimationError, InputError
 from .pricing import DAYS_PER_YEAR
@@ -53,6 +53,7 @@ class ReturnSeries:
     returns: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         returns = np.asarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -106,6 +107,7 @@ class VolEstimate:
 def _in_units(r: np.ndarray) -> tuple[np.ndarray, int]:
     """r and e, with r scaled exactly by the power of two that brings max |r| into [1/2, 1): as sde._mean_and_se
     takes its input, so that second moments of any finite returns stay finite."""
+    import numpy as np
     e = math.frexp(float(max(r.max(), -r.min())))[1]
     return np.ldexp(r, -e), e
 
@@ -123,6 +125,7 @@ def historical_vol(series: ReturnSeries, window: int) -> VolEstimate:
     """Mean-subtracted sample standard deviation (divisor n-1) of the last `window` returns."""
     if window < 2:
         raise InputError("historical window must be >= 2")
+    import numpy as np
     z, e = _in_units(series.last(window))
     return _estimate("historical", float(np.std(z, ddof=1)), e, window, series)
 
@@ -131,6 +134,7 @@ def realized_vol(series: ReturnSeries, window: int) -> VolEstimate:
     """Root mean square of the last `window` returns; no mean subtraction."""
     if window < 2:
         raise InputError("realized window must be >= 2")
+    import numpy as np
     z, e = _in_units(series.last(window))
     return _estimate("realized", math.sqrt(np.mean(z * z)), e, window, series)
 
@@ -177,6 +181,7 @@ class GarchParams:
         return self.omega / (1.0 - self.alpha1 - self.beta1)
 
     def _vector(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.mean, self.ar1, self.omega, self.alpha1, self.beta1, 1.0 / self.nu])
 
 
@@ -192,6 +197,7 @@ def _scan(y: np.ndarray, b: float, passes: list[tuple]) -> np.ndarray:
     b^d underflows to 0.  Each multiplier is b ** d (within 1 ulp), not repeated squaring (which doubles the error
     each time).  `passes` is _passes(y, tmp).  Overflow is left as inf or nan, under the caller's np.errstate.
     """
+    import numpy as np
     for d, head, lag, tmp in passes:
         if (c := b ** d) == 0.0:
             break
@@ -226,6 +232,7 @@ class _Workspace:
     point in one.  Temporaries are written with out= by the formulas' float operations, in order, so bits match."""
 
     def __init__(self, size: int, likelihood: bool = True):
+        import numpy as np
         n = size - 1
         self.eps, self.eps2, self.s2, self.tmp = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n + 1)
         self.s2_now, self.s2_next, self.s2_passes = self.s2[:-1], self.s2[1:], _passes(self.s2, self.tmp)
@@ -240,6 +247,7 @@ class _Workspace:
         """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, eta):
         eps_t = r_t - mu0 - phi r_{t-1}; sigma^2_1 = mean(eps^2) and sigma^2_{t+1} = omega + a1 eps^2_t + b1 sigma^2_t,
         so the last entry is the one-step-ahead forecast.  Overflow is left as inf or nan for the callers' checks."""
+        import numpy as np
         mu0, phi, omega, a1, b1 = x[:5]
         eps, eps2, s2 = self.eps, self.eps2, self.s2
         with np.errstate(over="ignore", invalid="ignore"):
@@ -251,6 +259,7 @@ class _Workspace:
         return eps, eps2, s2
 
     def neg_loglik(self, params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
+        import numpy as np
         x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
         mu0, phi, omega, a1, b1, eta = x
         penalty = (_PENALTY, np.zeros(6))
@@ -312,6 +321,7 @@ def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
+    import numpy as np
     return [np.array([float(np.mean(r_scaled)), 0.0, float(np.var(r_scaled)) * (1.0 - 0.05 - 0.90), 0.05, 0.90, 1 / 8])]
 
 
@@ -320,7 +330,7 @@ _BOUNDS = [(None, None), (-0.999999, 0.999999), (1e-12, None), (0.0, 1.0), (0.0,
 # alpha1 + beta1 <= ub = 0.999999 - 1e-9, as scipy forms LinearConstraint(A = (0, 0, 0, 1, 1, 0), -inf, ub) for SLSQP:
 # -(A x - ub), whose zero terms add exactly, and the row -A with its signed zeros
 _STATIONARITY = {"type": "ineq", "fun": lambda x: (0.999999 - 1e-9) - (x[3] + x[4]),
-                 "jac": lambda x, row=-np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0]): row}
+                 "jac": lambda x, row=(-0.0, -0.0, -0.0, -1.0, -1.0, -0.0): row}
 
 
 def minimize(*args, **kwargs):
@@ -337,6 +347,7 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     garch_log_likelihood at the returned parameters."""
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
+    import numpy as np
     u, e = _in_units(series.returns)
     # the likelihood of the returns sums n squared residuals, each below (3 max |r|)^2 < 2^(2e + 4)
     if 2 * e + 4 + len(series).bit_length() > 1024:
@@ -399,6 +410,7 @@ def simulate_ar_garch(params: GarchParams, n: int, seed: int, start: Optional[da
         raise InputError("n must be >= 2")
     if not abs(params.ar1) < 1.0:
         raise InputError(f"simulation needs a stationary AR(1) mean, |ar1| < 1, got ar1={params.ar1}")
+    import numpy as np
     burn = 500
     rng = _philox(seed)
     z = (rng.standard_normal(n + burn) if math.isinf(params.nu)

@@ -1,11 +1,17 @@
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predbs.cli import main
 from predbs.data_io import read_surface
@@ -530,6 +536,93 @@ def test_cli_byte_identical_runs(fixtures_dir, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# ------------------------------------------------------- typed errors, fuzzed
+
+# the extremes of the domain: signed zeros, subnormals, 1e154-1e308, infinities and nan
+_SIGNED = st.sampled_from([1.0, -1.0])
+EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.builds(float.__mul__, st.floats(5e-324, 2.2250738585072009e-308), _SIGNED),
+    st.builds(float.__mul__, st.floats(1e154, 1e308), _SIGNED),
+)
+
+
+def _value(ordinary: st.SearchStrategy) -> st.SearchStrategy:
+    """An ordinary value three times in four, else an extreme: enough argv are valid to check what a success prints."""
+    return st.integers(0, 3).flatmap(lambda k: ordinary if k else EXTREME)
+
+
+def _float(lo: float, hi: float) -> st.SearchStrategy:
+    return _value(st.floats(lo, hi))
+
+
+def _options(**values) -> st.SearchStrategy:
+    """argv of --name=value options (so that a value like -inf reaches the option's type) from strategies."""
+    return st.fixed_dictionaries(values).map(lambda drawn: [f"--{k.replace('_', '-')}={v}" for k, v in drawn.items()])
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(fixtures_dir, tmp_path_factory):
+    """Inputs for the fuzzed argv: returns files, a chain, two surfaces, and the directory the runs write into."""
+    work = tmp_path_factory.mktemp("cli_fuzz")
+    golden = fixtures_dir / "golden"
+    chain = fixtures_dir / "chain_2015_mimic.csv"
+    for vix in ("15", "25"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["surface", "--chain", str(chain), "--spot", "206.38", "--rate", "0.0212", "--method", "vix",
+                         "--vix", vix, "--out", str(work / f"vix{vix}.csv")]) == 0
+    returns = [golden / "returns.csv", golden / "closes.csv", golden / "returns_blank_nan.csv", work / "missing.csv"]
+    return {"work": work, "returns": st.sampled_from(returns), "chain": st.sampled_from([chain, work / "missing.csv"]),
+            "surface": st.sampled_from([work / "vix15.csv", work / "vix25.csv", chain])}
+
+
+def _argv(command: str, files: dict) -> st.SearchStrategy:
+    window, seed, vix = _value(st.integers(2, 300)), st.integers(-2, 2**130), _float(0.0, 100.0)
+    spot, rate, sigma = _float(1.0, 1e3), _float(-0.05, 0.2), _float(0.0, 2.0)
+    body = {
+        "price": _options(spot=spot, strike=spot, tau=_float(0.0, 5.0), rate=rate, sigma=sigma, p=_float(-1.0, 1.0),
+                          right=st.sampled_from(["call", "put"])),
+        "simulate": _options(mu=_float(-1.0, 1.0), sigma=sigma, alpha=_float(0.0, 1.0), s0=spot,
+                             horizon=_float(1e-3, 5.0), steps=st.integers(-1, 300), paths=st.integers(-1, 300),
+                             seed=seed),
+        "vol": st.one_of(_options(method=st.just("vix"), vix=vix),
+                         _options(method=st.sampled_from(["historical", "realized", "garch"]),
+                                  returns=files["returns"], window=window)),
+        "vrp": _options(vix=vix, returns=files["returns"], window=window),
+        "calibrate": _options(market_price=_float(0.0, 50.0), spot=_float(50.0, 150.0), strike=_float(50.0, 150.0),
+                              tau=_float(1e-3, 5.0), rate=rate, sigma=_float(0.01, 2.0)),
+        "surface": st.one_of(
+            _options(chain=files["chain"], spot=_float(100.0, 300.0), rate=rate, method=st.just("vix"), vix=vix),
+            _options(chain=files["chain"], spot=_float(100.0, 300.0), rate=rate,
+                     method=st.sampled_from(["historical", "realized"]), returns=files["returns"], window=window)),
+        "diff-surface": _options(base=files["surface"], other=files["surface"]),
+    }[command]
+    if command in ("surface", "diff-surface"):  # --out holds the surface or diff CSV
+        out = st.just(["--out", str(files["work"] / "out.csv")])
+    else:
+        out = st.sampled_from([[], ["--out", str(files["work"] / "out.txt")], ["--out", str(files["work"])]])
+    return st.tuples(body, out, st.sampled_from(["table", "csv", "json"])).map(
+        lambda t: [command, *t[0], *t[1], "--format", t[2]])
+
+
+@pytest.mark.parametrize("command", ["price", "simulate", "vol", "vrp", "calibrate", "surface", "diff-surface"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_keeps_its_errors_typed(command, fuzz_files, data):
+    # every subcommand, on any argv: exit 0, 1 or 2 with no traceback, and a success prints no nan or inf
+    # (price may: d_+- are infinite without diffusion)
+    argv = data.draw(_argv(command, fuzz_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0 and command != "price":
+        assert re.search(r"(?<![a-z])(nan|inf)(?![a-z])", out.getvalue(), re.IGNORECASE) is None, out.getvalue()
+
+
 # ---------------------------------------------------------------- imports
 
 def test_cli_import_leaves_scipy_signal_unloaded(fixtures_dir, tmp_path):
@@ -553,31 +646,39 @@ def test_cli_import_leaves_scipy_signal_unloaded(fixtures_dir, tmp_path):
     assert proc.stdout.split() == ["[]"] * 3
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    (None, ["scipy.optimize", "scipy.special", "scipy.linalg"]),
-    (["simulate", "--mu", "0.05", "--sigma", "0.2", "--paths", "100", "--steps", "4"], ["scipy.optimize"]),
-    (PRICE_ARGS, ["scipy.optimize"]),
-    (["calibrate", "--market-price", "10.09", "--spot", "206.38", "--strike", "200", "--tau", "0.25",
-      "--rate", "0.0212", "--sigma", "0.15"], ["scipy.optimize", "scipy.special", "scipy.linalg"]),
-    (["surface", "--chain", "{chain}", "--spot", "206.38", "--rate", "0.0212", "--method", "vix",
-      "--vix", "15", "--out", "{tmp}/vix.csv"], ["scipy.optimize"]),
-], ids=["import", "simulate", "price", "calibrate", "surface-vix"])
-def test_cli_leaves_scipy_optimize_unloaded(argv, unloaded, fixtures_dir, tmp_path):
+SURFACE_VIX = ["surface", "--chain", "{chain}", "--spot", "206.38", "--rate", "0.0212", "--method", "vix",
+               "--vix", "15", "--out", "{tmp}/vix.csv"]
+
+
+@pytest.mark.parametrize("argvs, unloaded, loaded", [
+    ([], ["numpy", "scipy.optimize", "scipy.special", "scipy.linalg"], []),
+    ([["simulate", "--mu", "0.05", "--sigma", "0.2", "--paths", "100", "--steps", "4"]], ["scipy.optimize"], ["numpy"]),
+    ([PRICE_ARGS], ["numpy", "scipy.optimize"], []),
+    ([["calibrate", "--market-price", "10.09", "--spot", "206.38", "--strike", "200", "--tau", "0.25",
+       "--rate", "0.0212", "--sigma", "0.15"]], ["numpy", "scipy.optimize", "scipy.special", "scipy.linalg"], []),
+    ([SURFACE_VIX], ["numpy", "scipy.optimize"], []),
+    ([SURFACE_VIX, SURFACE_VIX[:-3] + ["20", "--out", "{tmp}/vix20.csv"],
+      ["diff-surface", "--base", "{tmp}/vix.csv", "--other", "{tmp}/vix20.csv", "--out", "{tmp}/diff.csv"]],
+     ["numpy", "scipy.optimize"], []),
+    ([["vol", "--method", "realized", "--returns", "{returns}"]], ["scipy.optimize"], ["numpy"]),
+], ids=["import", "simulate", "price", "calibrate", "surface-vix", "diff-surface", "vol-realized"])
+def test_cli_leaves_scipy_optimize_unloaded(argvs, unloaded, loaded, fixtures_dir, tmp_path):
     # scipy.optimize (about 0.2 s to import) and scipy.special are imported by
     # the GARCH fit only, so the rest of the CLI, the paper's simulation check
-    # and the calibration solve included, starts without them
-    if argv is not None:
-        argv = [a.format(chain=fixtures_dir / "chain_2015_mimic.csv", tmp=tmp_path) for a in argv]
+    # and the calibration solve included, starts without them.  numpy (about
+    # 30 ms) loads only where an array is made: not for the closed form, the
+    # calibration solve, a vix surface or a diff; the sigma estimators load it
+    argvs = [[a.format(chain=fixtures_dir / "chain_2015_mimic.csv", tmp=tmp_path,
+                       returns=fixtures_dir / "golden" / "returns.csv") for a in argv] for argv in argvs]
     probe = (
-        "import contextlib, io, sys, predbs.cli\n"
-        f"argv = {argv!r}\n"
-        "if argv is not None:\n"
+        "import contextlib, io, sys, predbs.cli, predbs.data_io, predbs.volatility, predbs.sde\n"
+        f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert predbs.cli.main(argv) == 0\n"
-        f"print(*[m for m in {unloaded!r} if m in sys.modules])\n"
+        f"print(*[m for m in {unloaded + loaded!r} if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
-    assert proc.stdout.split() == []
+    assert proc.stdout.split() == loaded
 
 
 def _fresh_import(statement: str) -> str:
@@ -591,7 +692,7 @@ def test_package_import_loads_no_module():
 
 
 def test_scalar_pricer_and_solver_load_no_numpy():
-    # the closed form and the implied-p Newton solve are math-only; numpy costs about 40 ms to import
+    # the closed form and the implied-p Newton solve are math-only; numpy costs about 30 ms to import
     assert _fresh_import("import sys, predbs.pricing, predbs.calibration; print('numpy' in sys.modules)") == "False\n"
 
 
@@ -599,3 +700,21 @@ def test_scalar_pricer_and_solver_load_no_numpy():
 def test_each_module_imports_alone(module):
     # with nothing imported ahead of it, a missing import or an import cycle fails here
     assert _fresh_import(f"import predbs.{module}") == ""
+
+
+def _code_objects(code: types.CodeType):
+    """`code` and every code object nested in it: functions, lambdas, classes and comprehensions."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+@pytest.mark.parametrize("module", ["predbs", *(f"predbs.{m}" for m in
+                                                ["calibration", "cli", "data_io", "errors", "pricing", "sde",
+                                                 "volatility"])])
+def test_no_module_reads_a_global_np(module):
+    # each function that calls numpy imports it into a local name, so no module loads numpy at import; a function
+    # that lost its import would read the global np and fail with a NameError only when that path runs
+    code = importlib.util.find_spec(module).loader.get_code(module)
+    assert [f"{c.co_name}:{c.co_firstlineno}" for c in _code_objects(code) if "np" in c.co_names] == []
