@@ -22,7 +22,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
 
@@ -224,7 +224,7 @@ def parse_return_series(source: Source) -> ReturnSeries:
         values = list(map(float, map(itemgetter(1), filter(None, rows))))
     except (IndexError, ValueError):
         values = None
-    if not (values is not None and all(map(math.isfinite, values)) and all(map(date.__lt__, dates, dates[1:]))
+    if not (values is not None and all(map(math.isfinite, values)) and all(map(lt, dates, dates[1:]))
             and (mode == "returns" or not values or min(values) > 0)):
         last = None
         for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date
+from operator import lt
 from typing import Optional
 
 from .errors import EstimationError, InputError
@@ -63,7 +64,7 @@ class ReturnSeries:
             raise InputError("a return series needs at least 2 observations")
         if not np.all(np.isfinite(returns)):
             raise InputError("returns must be finite")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if not all(map(lt, self.dates, self.dates[1:])):
             raise InputError("dates must be strictly ascending")
 
     def __len__(self) -> int:
@@ -229,16 +230,19 @@ def _t_constant(eta: float) -> tuple[float, float]:
 
 class _Workspace:
     """Buffers and views for the sigma^2 filter and the likelihood of `size` returns, made once: a fit evaluates every
-    point in one.  Temporaries are written with out= by the formulas' float operations, in order, so bits match."""
+    point in one.  Temporaries are written with out= by the formulas' float operations, in order, so bits match.
+    value leaves its intermediates in the buffers, and gradient forms the gradient from them, so a caller that needs
+    the gradient at only some points (SLSQP's line search reads values alone) pays for it only there."""
 
     def __init__(self, size: int, likelihood: bool = True):
         import numpy as np
         n = size - 1
         self.eps, self.eps2, self.s2, self.tmp = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n + 1)
         self.s2_now, self.s2_next, self.s2_passes = self.s2[:-1], self.s2[1:], _passes(self.s2, self.tmp)
+        self.last = None  # (params bytes, r, x, dC/deta or None at a penalty) of the value the buffers hold
         if likelihood:  # a forecast runs only the filter
             self.d, self.m, self.u, self.log1p_u, self.w, self.e, self.p, self.z, self.z2, self.q, self.t1, self.t2, \
-                self.gr = (np.empty(n) for _ in range(13))  # gr: g = d ll / d sigma^2, reversed (see neg_loglik)
+                self.gr = (np.empty(n) for _ in range(13))  # gr: g = d ll / d sigma^2, reversed (see gradient)
             self.mask, self.g_next, self.g = np.empty(n, dtype=bool), np.empty(n - 1), self.gr[::-1]
             self.s2_rev, self.w_rev, self.g_tail, self.t1_head = self.s2[-2::-1], self.w[::-1], self.g[1:], self.t1[:-1]
             self.g_passes = _passes(self.gr, self.tmp)
@@ -246,68 +250,92 @@ class _Workspace:
     def filter(self, x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, eta):
         eps_t = r_t - mu0 - phi r_{t-1}; sigma^2_1 = mean(eps^2) and sigma^2_{t+1} = omega + a1 eps^2_t + b1 sigma^2_t,
-        so the last entry is the one-step-ahead forecast.  Overflow is left as inf or nan for the callers' checks."""
+        so the last entry is the one-step-ahead forecast.  Overflow is left as inf or nan, under the caller's
+        np.errstate, for the caller's checks."""
         import numpy as np
         mu0, phi, omega, a1, b1 = x[:5]
         eps, eps2, s2 = self.eps, self.eps2, self.s2
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(np.subtract(r[1:], mu0, out=eps2), np.multiply(r[:-1], phi, out=eps), out=eps)
-            np.multiply(eps, eps, out=eps2)
-            s2[0] = eps2.sum() / eps.size
-            np.add(np.multiply(eps2, a1, out=self.s2_next), omega, out=self.s2_next)
-            _scan(s2, b1, self.s2_passes)
-        return eps, eps2, s2
+        self.last = None  # the buffers no longer hold a value's intermediates
+        np.subtract(np.subtract(r[1:], mu0, out=eps2), np.multiply(r[:-1], phi, out=eps), out=eps)
+        np.multiply(eps, eps, out=eps2)
+        s2[0] = eps2.sum() / eps.size
+        np.add(np.multiply(eps2, a1, out=self.s2_next), omega, out=self.s2_next)
+        return eps, eps2, _scan(s2, b1, self.s2_passes)
 
-    def neg_loglik(self, params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
-        import numpy as np
+    def value(self, params: np.ndarray, r: np.ndarray) -> float:
+        """The negative log-likelihood of _neg_loglik at params, or _PENALTY; what gradient(params, r) reads stays
+        in the buffers and in self.last until the next value or filter."""
         x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
+        nll, dconst = self._value(x, r)
+        self.last = params.tobytes(), r, x, dconst
+        return nll
+
+    def _value(self, x: list[float], r: np.ndarray) -> tuple[float, Optional[float]]:
+        """(-ll, dC/deta), or (_PENALTY, None).  What overflows (a sigma^2 path too small for its residuals) leaves
+        ll non-finite, and so the penalty."""
+        import numpy as np
         mu0, phi, omega, a1, b1, eta = x
-        penalty = (_PENALTY, np.zeros(6))
+        penalty = _PENALTY, None
         if not (all(map(math.isfinite, x)) and _admissible(omega, a1, b1, 1.0 / eta if eta else math.inf)):
             return penalty
-        eps, eps2, _ = self.filter(x, r)
-        s2, g, g_tail, t1, t2, mask = self.s2_now, self.g, self.g_tail, self.t1, self.t2, self.mask
-        if not 0.0 < s2.min() <= s2.max() < math.inf:  # False for NaN
-            return penalty
-        const, dconst = _t_constant(eta)
-        d = np.multiply(s2, 1.0 - 2.0 * eta, out=self.d)
-        m = np.divide(eps2, d, out=self.m)
-        u = np.multiply(m, eta, out=self.u)
-        log1p_u = np.log1p(u, out=self.log1p_u)
-        t1.fill(1.0)
-        ll = eps.size * const - 0.5 * np.log(s2, out=t2).sum() - 0.5 * (1.0 + eta) * np.dot(
-            m, np.divide(log1p_u, u, out=t1, where=np.greater(u, 0, out=mask)))
-        if not math.isfinite(ll):
-            return penalty
-        w = np.divide(np.multiply(m, 1.0 + eta, out=self.w), np.add(u, 1.0, out=t1), out=self.w)
-        # the adjoint runs the filter backwards; it is scanned as a reversed copy, since numpy is slower on negative strides
-        gr = np.multiply(np.subtract(self.w_rev, 1.0, out=self.gr), 0.5, out=self.gr)
         with np.errstate(over="ignore", invalid="ignore"):
+            eps, eps2, _ = self.filter(x, r)
+            s2, t1, t2 = self.s2_now, self.t1, self.t2
+            if not 0.0 < s2.min() <= s2.max() < math.inf:  # False for NaN
+                return penalty
+            const, dconst = _t_constant(eta)
+            d = np.multiply(s2, 1.0 - 2.0 * eta, out=self.d)
+            m = np.divide(eps2, d, out=self.m)
+            u = np.multiply(m, eta, out=self.u)
+            log1p_u = np.log1p(u, out=self.log1p_u)
+            t1.fill(1.0)
+            ll = eps.size * const - 0.5 * np.log(s2, out=t2).sum() - 0.5 * (1.0 + eta) * np.dot(
+                m, np.divide(log1p_u, u, out=t1, where=np.greater(u, 0, out=self.mask)))
+        return (-ll, dconst) if math.isfinite(ll) else penalty
+
+    def gradient(self, params: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The gradient of the negative log-likelihood at params (see _neg_loglik), zero at a penalty point.  It is
+        formed from the intermediates of the last value call, which runs first if that call was at another point
+        (bit for bit) or series, so the result does not depend on the order of calls.  Entries past the float range
+        (a sigma^2 path far below the residuals, outside the fit's _BOUNDS) read inf or nan."""
+        import numpy as np
+        if self.last is None or self.last[0] != params.tobytes() or self.last[1] is not r:
+            self.value(params, r)
+        _, _, x, dconst = self.last
+        if dconst is None:
+            return np.zeros(6)
+        a1, b1, eta = x[3:]
+        eps, eps2, s2, d, m, u, log1p_u = self.eps, self.eps2, self.s2_now, self.d, self.m, self.u, self.log1p_u
+        g, g_tail, t1, t2 = self.g, self.g_tail, self.t1, self.t2
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.divide(np.multiply(m, 1.0 + eta, out=self.w), np.add(u, 1.0, out=t1), out=self.w)
+            # the adjoint runs the filter backwards, scanned as a reversed copy: numpy is slower on negative strides
+            gr = np.multiply(np.subtract(self.w_rev, 1.0, out=self.gr), 0.5, out=self.gr)
             _scan(np.divide(gr, self.s2_rev, out=gr), b1, self.g_passes)
-        # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t, and s2_init = mean(eps^2)
-        e = np.divide(np.multiply(eps, -(1.0 + eta), out=self.e), np.add(d, np.multiply(eps2, eta, out=t1), out=t1),
-                      out=self.e)
-        np.add(e, np.multiply(eps, 2.0 * g[0] / eps.size, out=t1), out=e)
-        e[:-1] += np.multiply(np.multiply(eps[:-1], 2.0 * a1, out=self.t1_head), g_tail, out=self.t1_head)
-        # eta: -m^2 R'(u)/2 = (m/(2 + u))^2 (1/(1 + z) + z Q), z = u/(2 + u), Q = (atanh z - z)/z^3 or its series at small z
-        p = np.divide(m, np.add(u, 2.0, out=t1), out=self.p)
-        z = np.multiply(p, eta, out=self.z)
-        z2 = np.multiply(z, z, out=self.z2)
-        q = self.q  # the series 1/3 + z2 (1/5 + z2 (1/7 + z2 / 9)), then Q where z > 0.025
-        np.add(np.divide(z2, 9, out=q), 1 / 7, out=q)
-        np.add(np.multiply(z2, q, out=q), 1 / 5, out=q)
-        np.add(np.multiply(z2, q, out=q), 1 / 3, out=q)
-        np.divide(np.subtract(np.multiply(log1p_u, 0.5, out=t1), z, out=t1), np.multiply(z2, z, out=t2), out=q,
-                  where=np.greater(z, 0.025, out=mask))
-        self.g_next[...] = g_tail  # g_2..g_T in order: np.dot would copy the reversed view to call BLAS
-        grad = np.array([
-            -e.sum(), -np.dot(e, r[:-1]),  # mu0, phi
-            g_tail.sum(), np.dot(eps2[:-1], self.g_next), np.dot(s2[:-1], self.g_next),  # omega, a1, b1
-            eps.size * dconst + np.dot(np.multiply(p, p, out=t2), np.add(
-                np.divide(1.0, np.add(z, 1.0, out=t1), out=t1), np.multiply(z, q, out=q), out=t1))
-            - 1.5 * w.sum() / ((1.0 + eta) * (1.0 - 2.0 * eta)),
-        ])
-        return -ll, -grad
+            # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t, and s2_init = mean(eps^2)
+            e = np.divide(np.multiply(eps, -(1.0 + eta), out=self.e),
+                          np.add(d, np.multiply(eps2, eta, out=t1), out=t1), out=self.e)
+            np.add(e, np.multiply(eps, 2.0 * g[0] / eps.size, out=t1), out=e)
+            e[:-1] += np.multiply(np.multiply(eps[:-1], 2.0 * a1, out=self.t1_head), g_tail, out=self.t1_head)
+            # eta: -m^2 R'(u)/2 = (m/(2 + u))^2 (1/(1 + z) + z Q), z = u/(2 + u),
+            # Q = (atanh z - z)/z^3 or its series at small z
+            p = np.divide(m, np.add(u, 2.0, out=t1), out=self.p)
+            z = np.multiply(p, eta, out=self.z)
+            z2 = np.multiply(z, z, out=self.z2)
+            q = self.q  # the series 1/3 + z2 (1/5 + z2 (1/7 + z2 / 9)), then Q where z > 0.025
+            np.add(np.divide(z2, 9, out=q), 1 / 7, out=q)
+            np.add(np.multiply(z2, q, out=q), 1 / 5, out=q)
+            np.add(np.multiply(z2, q, out=q), 1 / 3, out=q)
+            np.divide(np.subtract(np.multiply(log1p_u, 0.5, out=t1), z, out=t1), np.multiply(z2, z, out=t2), out=q,
+                      where=np.greater(z, 0.025, out=self.mask))
+            self.g_next[...] = g_tail  # g_2..g_T in order: np.dot would copy the reversed view to call BLAS
+            return -np.array([
+                -e.sum(), -np.dot(e, r[:-1]),  # mu0, phi
+                g_tail.sum(), np.dot(eps2[:-1], self.g_next), np.dot(s2[:-1], self.g_next),  # omega, a1, b1
+                eps.size * dconst + np.dot(np.multiply(p, p, out=t2), np.add(
+                    np.divide(1.0, np.add(z, 1.0, out=t1), out=t1), np.multiply(z, q, out=q), out=t1))
+                - 1.5 * w.sum() / ((1.0 + eta) * (1.0 - 2.0 * eta)),
+            ])
 
 
 def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
@@ -316,8 +344,10 @@ def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     eta = 0 is the Gaussian limit, and nothing cancels near it.  The value is _PENALTY (gradient zero) where x is
     non-finite or not _admissible, or the sigma^2 path is not finite and positive.  The gradient is exact:
     g_t = d ll / d sigma^2_t obeys the sigma^2 filter run backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.
-    It is evaluated in a _Workspace made for this call; fit_ar_garch evaluates every point in one that it keeps."""
-    return _Workspace(r.size).neg_loglik(params, r)
+    It is evaluated in a _Workspace made for this call, value then gradient; fit_ar_garch evaluates every point in
+    one that it keeps, and forms the gradient only at the points where SLSQP asks for one."""
+    workspace = _Workspace(r.size)
+    return workspace.value(params, r), workspace.gradient(params, r)
 
 
 def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
@@ -342,8 +372,9 @@ def minimize(*args, **kwargs):
 def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     """Maximize the Student-t conditional log-likelihood by SLSQP from one start (restarted once if it fails).
     SLSQP runs on eta = 1/nu with the exact gradient (see _neg_loglik) inside _BOUNDS and _STATIONARITY, on returns
-    standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  A
-    fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is
+    standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  It
+    reads the value at every point and the gradient only where it asks for one, formed from the buffers of the value
+    at that point.  A fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is
     garch_log_likelihood at the returned parameters."""
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
@@ -362,13 +393,13 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     workspace = _Workspace(z.size)  # for every evaluation of the fit, and for its log-likelihood
 
     def nll(x, r):
-        value, grad = workspace.neg_loglik(x, r)
+        value = workspace.value(x, r)
         if value < seen[0]:
             seen[:] = value, x.copy()
-        return value, grad
+        return value
 
     for _ in range(2):  # a run that does not converge restarts once, from the best point it evaluated
-        if minimize(nll, seen[1], args=(z,), jac=True, method="SLSQP", bounds=_BOUNDS,
+        if minimize(nll, seen[1], args=(z,), jac=workspace.gradient, method="SLSQP", bounds=_BOUNDS,
                     constraints=[_STATIONARITY], options=dict(maxiter=500, ftol=1e-12)).success:
             break
     if seen[0] >= _PENALTY:
@@ -387,7 +418,7 @@ def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
 
 def _log_likelihood(params: GarchParams, series: ReturnSeries, workspace: _Workspace) -> float:
     """garch_log_likelihood, evaluated in `workspace`."""
-    nll = workspace.neg_loglik(params._vector(), series.returns)[0]
+    nll = workspace.value(params._vector(), series.returns)
     if nll == _PENALTY:
         raise InputError("likelihood undefined: sigma^2 path is not finite and positive for this series")
     return float(-nll)
@@ -395,7 +426,9 @@ def _log_likelihood(params: GarchParams, series: ReturnSeries, workspace: _Works
 
 def garch_forecast_vol(params: GarchParams, series: ReturnSeries) -> VolEstimate:
     """One-step-ahead conditional sigma: the last entry of the filtered sigma^2 path."""
-    s2_next = _Workspace(len(series), likelihood=False).filter(params._vector(), series.returns)[2][-1]
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2_next = _Workspace(len(series), likelihood=False).filter(params._vector(), series.returns)[2][-1]
     if not math.isfinite(s2_next) or s2_next <= 0:
         raise InputError("forecast variance is not positive; params invalid for this series")
     return VolEstimate.from_daily("garch", math.sqrt(s2_next), len(series), series.as_of)

@@ -442,6 +442,57 @@ def test_neg_loglik_matches_a_40_digit_reference(eta, value, grad):
     assert got_grad[5] == pytest.approx(grad[5], rel=1e-14, abs=0)
 
 
+# one admissible region, and points past each of its edges: omega <= 0, alpha1 + beta1 >= 1 and eta >= 1/2
+POINTS = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.99, 0.99), st.floats(-0.1, 2.0), st.floats(0.0, 0.6),
+                   st.floats(0.0, 0.99), st.floats(0.0, 0.55)).map(np.array)
+SPLIT_RETURNS = {n: standardized(simulate_ar_garch(TRUE_PARAMS, n=n, seed=n)) for n in (300, 5_000)}
+
+
+@pytest.mark.parametrize("n", sorted(SPLIT_RETURNS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(x=POINTS, y=POINTS)
+def test_a_gradient_is_the_same_whatever_the_workspace_last_evaluated(n, x, y):
+    # gradient reads the intermediates value left in the buffers: after a value at another point or on another
+    # series, or after a bare filter, it must evaluate afresh, and a penalty point gives zeros
+    r, other = SPLIT_RETURNS[n], SPLIT_RETURNS[n][::-1].copy()
+    fresh = _Workspace(n)
+    value, grad = fresh.value(x, r), fresh.gradient(x, r)
+    assert (value == volatility._PENALTY) == (not np.any(grad))
+    ws = _Workspace(n)
+    stale = [_Workspace(n).gradient(x, r)]
+    for leave in (lambda: ws.value(y, r), lambda: ws.value(x, other), lambda: (ws.value(x, r), ws.filter(y, r))):
+        leave()
+        stale.append(ws.gradient(x, r))
+        assert ws.value(x, r) == value
+    for got in stale:
+        assert got.tobytes() == grad.tobytes()
+
+
+def test_a_fit_forms_the_gradient_only_where_slsqp_asks_for_one(monkeypatch):
+    # SLSQP's line search reads values alone: one gradient per njev, one value per nfev and one for the
+    # reported log-likelihood, and no gradient re-evaluates its point
+    calls, runs, minimize = {"value": 0, "gradient": 0}, [], volatility.minimize
+
+    class Workspace(volatility._Workspace):
+        def value(self, *args):
+            calls["value"] += 1
+            return super().value(*args)
+
+        def gradient(self, *args):
+            calls["gradient"] += 1
+            return super().gradient(*args)
+
+    def traced(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(volatility, "_Workspace", Workspace)
+    monkeypatch.setattr(volatility, "minimize", traced)
+    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=2_000, seed=3))
+    nfev, njev = sum(run.nfev for run in runs), sum(run.njev for run in runs)
+    assert calls == {"value": nfev + 1, "gradient": njev} and 0 < njev < nfev
+
+
 def test_garch_fit_reaches_the_golden_optimum():
     # 998.0990969349358 is the multi-start Nelder-Mead optimum on this series
     from predbs.data_io import parse_return_series
@@ -480,7 +531,7 @@ def test_garch_constant_series_degenerate():
 def test_garch_fit_without_a_finite_likelihood_is_refused(monkeypatch):
     # an optimizer that only evaluates inadmissible points (omega < 0) leaves no parameters to return
     monkeypatch.setattr(volatility, "minimize", lambda fun, x0, args, **kw: SimpleNamespace(
-        success=fun(-x0, *args)[0] < volatility._PENALTY))
+        success=fun(-x0, *args) < volatility._PENALTY))
     with pytest.raises(EstimationError, match="no parameters with a finite likelihood"):
         fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=300, seed=1))
 
@@ -495,22 +546,26 @@ def test_a_fits_evaluations_after_its_first_allocate_less_than_one_series_array(
             made.append(args)
             super().__init__(*args, **kwargs)
 
-    def traced(fun, x0, args, **kwargs):
-        def measured(x, *a):
+    def measured(f, peaks):
+        def call(x, *a):
             tracemalloc.start()
             try:
-                out = fun(x, *a)
+                out = f(x, *a)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             return out
-        return minimize(measured, x0, args, **kwargs)
+        return call
 
+    def traced(fun, x0, args, jac, **kwargs):  # values and gradients are measured apart
+        return minimize(measured(fun, peaks), x0, args, jac=measured(jac, gradient_peaks), **kwargs)
+
+    gradient_peaks = []
     monkeypatch.setattr(volatility, "_Workspace", Workspace)
     monkeypatch.setattr(volatility, "minimize", traced)
     fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=n, seed=3))
-    assert made == [(n,)] and len(peaks) > 10
-    assert max(peaks[1:]) < 8 * n
+    assert made == [(n,)] and len(peaks) > 10 and len(gradient_peaks) > 10
+    assert max(peaks[1:]) < 8 * n and max(gradient_peaks) < 8 * n
 
 
 def test_garch_requires_min_length():
@@ -541,6 +596,13 @@ def test_squared_residuals_past_the_float_range_are_refused_without_a_warning(re
     # eps^2 = (2e160)^2 overflows in the filter: a typed refusal, not numpy's RuntimeWarning
     with pytest.raises(InputError, match=message):
         refuse(TRUE_PARAMS, make_series([1e160, -1e160] * 15))
+
+
+def test_a_sigma2_path_too_small_for_its_residuals_is_refused_without_a_warning():
+    # sigma^2 = omega = 5e-324 after the first step: eps^2 / sigma^2 overflows in the likelihood
+    params = GarchParams(ar1=0.0, mean=0.0, omega=5e-324, alpha1=0.0, beta1=0.0, nu=6.0)
+    with pytest.raises(InputError, match="likelihood undefined"):
+        garch_log_likelihood(params, make_series([0.01, -0.02] * 15))
 
 
 def test_simulation_needs_two_returns():
