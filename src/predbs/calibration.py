@@ -3,7 +3,8 @@
 The call price is continuous, strictly decreasing and convex in p, so on
 [-1, 1] the equation model(p) = market has at most one root, which Newton
 from p = -1 reaches without overshooting; the stop on p is
-P_TOL + 8 ulp(1) |p|.  Quotes priced above the p = -1 model value or below the
+P_TOL + 8 ulp(1) |p|, and a solved quote reports the price of the Newton step
+that found its root.  Quotes priced above the p = -1 model value or below the
 p = +1 value clamp to the boundary with an explicit flag, which is what
 produces the flat plateaus of a predictability surface.
 """
@@ -85,10 +86,6 @@ def implied_excess_predictability(
     rounding; |dC/dp| = sigma^2 tau S e^{-q tau} Phi(d_+) can be large, so it
     is not bounded by any fixed fraction of spot.
     """
-    def model(p: float) -> float:  # the prices a point reports; the search prices through _closed_form
-        return call_price(PricingInputs(spot=spot, strike=strike, tau=tau,
-                                        rate=rate, sigma=sigma, p=p)).price
-
     inputs = PricingInputs(spot=spot, strike=strike, tau=tau, rate=rate, sigma=sigma, p=-1.0)
     hi = call_price(inputs).price  # p = -1 maximizes the call (negative dividend yield)
     if not math.isfinite(market_price):
@@ -98,7 +95,6 @@ def implied_excess_predictability(
     if sigma * math.sqrt(tau) == 0.0:
         # price is p-independent without diffusion: the root is not identified
         raise InputError("implied p is not identifiable at sigma*sqrt(tau) == 0")
-    lo = model(+1.0)
     moneyness = spot / strike
 
     upper_bound = spot * math.exp(sigma * sigma * tau)  # S e^{-q tau} at q = -sigma^2
@@ -110,38 +106,40 @@ def implied_excess_predictability(
     if market_price > hi:
         return CalibrationPoint(moneyness, tau, -1.0, ClampStatus.AT_MINUS_ONE,
                                 market_price, hi, hi - market_price)
+    # the band edges price through call_price, the iterates through _closed_form on the same p-free terms
+    lo = call_price(PricingInputs(spot=spot, strike=strike, tau=tau, rate=rate, sigma=sigma, p=1.0)).price
     if market_price < lo:
         return CalibrationPoint(moneyness, tau, +1.0, ClampStatus.AT_PLUS_ONE,
                                 market_price, lo, lo - market_price)
     if market_price == lo != hi:  # a quote at C(+1) is that edge; at C(-1) Newton stops at once
-        root = 1.0
+        root, model_at_root = 1.0, lo
     else:
-        root = _newton(_p_free_terms(inputs), market_price)
-    model_at_root = model(root)
+        root, model_at_root = _newton(_p_free_terms(inputs), market_price)
     return CalibrationPoint(moneyness, tau, root, ClampStatus.NONE,
                             market_price, model_at_root, model_at_root - market_price)
 
 
-def _newton(terms: tuple, market: float) -> float:
-    """The root p of C(p) = market for a quote with C(-1) >= market > C(+1).
+def _newton(terms: tuple, market: float) -> tuple[float, float]:
+    """The root p of C(p) = market for a quote with C(-1) >= market > C(+1), and C(p) there.
 
     C decreases and is convex in p (the normalized call is convex in ln(F/K), which is linear
     in p), so Newton from -1 climbs to the root without overshooting it.  The iterate is
     returned once its step is at most half the stop P_TOL + 8 ulp(1) |p|, so a root within
     that of -1 comes back as -1.0.  A step out of the bracket [a, b] (rounding, or a slope that
     underflows) and every step after the first _NEWTON_STEPS bisect it instead; a bracket
-    narrower than the stop ends the solve at the iterate just priced.
+    narrower than the stop ends the solve at the iterate just priced.  The price returned is the
+    last one _closed_form formed, which is call_price's at the root: the terms do not depend on p.
     """
     a, b = -1.0, 1.0  # C(a) >= market > C(b)
     x = -1.0
     price, _, _, slope = _closed_form(terms, x)
     for n in itertools.count():
         if price == market:
-            return x
+            return x, price
         stop = P_TOL + _ULP8 * abs(x)
         step = (price - market) / slope if -math.inf < slope < 0.0 else math.inf
         if abs(step) <= 0.5 * stop:
-            return x
+            return x, price
         x -= step
         if not a < x < b or n >= _NEWTON_STEPS:
             x = 0.5 * (a + b)
@@ -151,7 +149,7 @@ def _newton(terms: tuple, market: float) -> float:
         else:
             b = x
         if b - a <= stop:
-            return x
+            return x, price
 
 
 @dataclass(frozen=True)
@@ -205,13 +203,14 @@ def build_surface(chain, rate: float, vol) -> PredictabilitySurface:
     for q in sorted(quotes, key=lambda q: (q.expiry_date, q.strike)):
         tau = (q.expiry_date - chain.quote_date).days / DAYS_PER_YEAR
         key = (spot / q.strike, tau)
+        mid = q.mid
         if key in seen:
             failure = "duplicate (moneyness, tau) grid point, skipped"
-        elif q.mid <= 0:
-            failure = f"non-positive mid {q.mid}, skipped"
+        elif mid <= 0:
+            failure = f"non-positive mid {mid}, skipped"
         else:
             try:
-                pt = implied_excess_predictability(q.mid, spot, q.strike, tau, rate, sigma)
+                pt = implied_excess_predictability(mid, spot, q.strike, tau, rate, sigma)
             except (InputError, QuoteRejectedError) as exc:
                 failure = exc
             else:

@@ -156,6 +156,65 @@ def test_invalid_quote_error_class(args, error):
         implied_excess_predictability(*args)
 
 
+_HI, _LO = (model_price(p=p, **BASE) for p in (-1.0, 1.0))
+_CAP = BASE["spot"] * math.exp(BASE["sigma"] * BASE["sigma"] * BASE["tau"])
+
+
+@pytest.mark.parametrize("market_price, priced_at", [
+    ((_HI + _CAP) / 2.0, [-1.0]),                     # clamps at -1: C(+1) is never read
+    (math.nextafter(_CAP, math.inf), [-1.0]),         # rejected before C(+1)
+    (_LO / 2.0, [-1.0, 1.0]),                         # clamps at +1
+    (model_price(p=0.3, **BASE), [-1.0, 1.0]),        # solved: the root's price is the Newton step's
+    (_HI, [-1.0, 1.0]),                               # at C(-1): Newton stops at once
+    (_LO, [-1.0, 1.0]),                               # at C(+1): that edge's price is the point's
+], ids=["above_c_minus_one", "above_cap", "below_c_plus_one", "solved", "at_c_minus_one", "at_c_plus_one"])
+def test_a_quote_prices_at_most_its_two_band_edges_through_call_price(monkeypatch, market_price, priced_at):
+    ps = []
+
+    def counting(inputs):
+        ps.append(inputs.p)
+        return call_price(inputs)
+
+    monkeypatch.setattr("predbs.calibration.call_price", counting)
+    try:
+        pt = implied_excess_predictability(market_price, **BASE)
+    except QuoteRejectedError:
+        assert market_price > _CAP
+    else:
+        assert pt.model_price == model_price(p=pt.p, **BASE)
+    assert ps == priced_at
+
+
+def test_quote_above_the_cap_is_rejected_naming_the_bound():
+    with pytest.raises(QuoteRejectedError, match=f"no-arbitrage bound {_CAP}$"):
+        implied_excess_predictability(math.nextafter(_CAP, math.inf), **BASE)
+
+
+@pytest.mark.parametrize("market_price", [math.inf, -math.inf])
+def test_an_infinite_quote_is_an_input_error(market_price):
+    # -inf is not positive either: finiteness is checked first
+    with pytest.raises(InputError, match="market price must be finite"):
+        implied_excess_predictability(market_price, **BASE)
+
+
+@pytest.mark.parametrize("kw", [dict(BASE, sigma=0.0), dict(BASE, tau=0.0)])
+@pytest.mark.parametrize("market_price", [1e-9, 1e3])  # below C(+1), and above the cap S e^{sigma^2 tau}
+def test_zero_diffusion_is_refused_before_the_quote_is_placed(kw, market_price):
+    with pytest.raises(InputError, match="not identifiable"):
+        implied_excess_predictability(market_price, **kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(BASE, rate=math.nan),
+    dict(BASE, strike=-100.0),
+    dict(BASE, spot=1e308, sigma=2.0, tau=2.0),  # S e^{sigma^2 tau} overflows
+])
+@pytest.mark.parametrize("market_price", [math.nan, -math.inf, 0.0, 1e-300, 5.0, 101.0, 1e300, math.inf])
+def test_a_bad_scenario_is_an_input_error_whatever_the_quote(kw, market_price):
+    with pytest.raises(InputError, match="pricing inputs|spot and strike|scenario out of the float range"):
+        implied_excess_predictability(market_price, **kw)
+
+
 @pytest.mark.parametrize("market_price, kw", [
     # |dC/dp| ~ 2e5 at the root: the residual is 1.07e-7 x spot, yet within the p tolerance
     (24551.999490991522, dict(spot=23.996390678636494, strike=19.71372348926691, tau=2.912998964644583,
@@ -268,6 +327,35 @@ def test_band_edges_are_classified_exactly(spot, moneyness, tau, rate, sigma):
         assert outcome(below_lo) == ("rejected" if below_lo == 0.0 else (1.0, ClampStatus.AT_PLUS_ONE))
     assert outcome(cap) != "rejected"
     assert outcome(math.nextafter(cap, math.inf)) == "rejected"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    spot=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    moneyness=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+    tau=st.floats(1 / 365, 2.0),
+    rate=st.floats(-0.01, 0.1),
+    sigma=st.floats(0.01, 2.0),
+    p=_P_WITH_EDGES,
+    beyond=st.sampled_from([0, -1, 1]),
+    u=st.floats(0.0, 1.0),
+)
+def test_a_point_reports_call_price_at_its_p_bit_for_bit(spot, moneyness, tau, rate, sigma, p, beyond, u):
+    # the quote is priced at p, or pushed past C(-1) (up to the cap) or below C(+1); whichever way
+    # the solve ends, its price is call_price's at the p it reports, and the residual is formed from it
+    kw = dict(spot=spot, strike=spot / moneyness, tau=tau, rate=rate, sigma=sigma)
+    if beyond == 0:
+        market = model_price(p=p, **kw)
+    elif beyond == -1:
+        hi, cap = model_price(p=-1.0, **kw), spot * math.exp(sigma * sigma * tau)
+        market = min(cap, hi + u * (cap - hi))
+    else:
+        market = u * model_price(p=1.0, **kw)
+    if market == 0.0:
+        return
+    pt = implied_excess_predictability(market, **kw)
+    assert pt.model_price.hex() == model_price(p=pt.p, **kw).hex()
+    assert pt.residual == pt.model_price - market
 
 
 @pytest.mark.parametrize("market_price, kw", [
