@@ -39,6 +39,7 @@ _NEWTON_STEPS = 40  # then bisect: 35 halvings narrow [-1, 1] below P_TOL
 
 
 class ClampStatus(str, enum.Enum):
+    __str__ = str.__str__  # str(flag), '%s' % flag and format(flag) are its value, as enum.StrEnum (3.11) makes them
     NONE = "none"
     AT_MINUS_ONE = "at_minus_one"
     AT_PLUS_ONE = "at_plus_one"
@@ -95,7 +96,6 @@ def implied_excess_predictability(
     if sigma * math.sqrt(tau) == 0.0:
         # price is p-independent without diffusion: the root is not identified
         raise InputError("implied p is not identifiable at sigma*sqrt(tau) == 0")
-    moneyness = spot / strike
 
     upper_bound = spot * math.exp(sigma * sigma * tau)  # S e^{-q tau} at q = -sigma^2
     if market_price > upper_bound:
@@ -103,20 +103,17 @@ def implied_excess_predictability(
             f"quote {market_price} above the p=-1 no-arbitrage bound {upper_bound}"
         )
 
-    if market_price > hi:
-        return CalibrationPoint(moneyness, tau, -1.0, ClampStatus.AT_MINUS_ONE,
-                                market_price, hi, hi - market_price)
     # the band edges price through call_price, the iterates through _closed_form on the same p-free terms
-    lo = call_price(PricingInputs(spot=spot, strike=strike, tau=tau, rate=rate, sigma=sigma, p=1.0)).price
-    if market_price < lo:
-        return CalibrationPoint(moneyness, tau, +1.0, ClampStatus.AT_PLUS_ONE,
-                                market_price, lo, lo - market_price)
-    if market_price == lo != hi:  # a quote at C(+1) is that edge; at C(-1) Newton stops at once
-        root, model_at_root = 1.0, lo
+    if market_price > hi:
+        p, flag, model = -1.0, ClampStatus.AT_MINUS_ONE, hi
+    elif market_price < (lo := call_price(PricingInputs(spot=spot, strike=strike, tau=tau, rate=rate,
+                                                         sigma=sigma, p=1.0)).price):
+        p, flag, model = 1.0, ClampStatus.AT_PLUS_ONE, lo
+    elif market_price == lo != hi:  # a quote at C(+1) is that edge; at C(-1) Newton stops at once
+        p, flag, model = 1.0, ClampStatus.NONE, lo
     else:
-        root, model_at_root = _newton(_p_free_terms(inputs), market_price)
-    return CalibrationPoint(moneyness, tau, root, ClampStatus.NONE,
-                            market_price, model_at_root, model_at_root - market_price)
+        (p, model), flag = _newton(_p_free_terms(inputs), market_price), ClampStatus.NONE
+    return CalibrationPoint(spot / strike, tau, p, flag, market_price, model, model - market_price)
 
 
 def _newton(terms: tuple, market: float) -> tuple[float, float]:

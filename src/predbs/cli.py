@@ -3,9 +3,9 @@
 Subcommands: price, simulate, vol, vrp, calibrate, surface, diff-surface.
 Summaries go to stdout (table, csv or json); data files go to --out paths.
 Exit codes: 0 success, 1 domain error, 2 usage error.  Identical invocations
-on identical inputs produce byte-identical output.  main builds its parser once
-per process and reuses it, so in-process callers do not pay for argparse on
-every call; build_parser returns a fresh one.
+on identical inputs produce byte-identical output.  build_parser builds the
+parser once per process and returns that one to main and every other caller,
+so in-process callers do not pay for argparse on every call.
 """
 
 from __future__ import annotations
@@ -67,7 +67,23 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
 
+def _add_scenario(sub: argparse.ArgumentParser, **helps: str) -> None:
+    """The five floats of a pricing scenario, as price and calibrate take them; helps maps a name to its help."""
+    for name in ("spot", "strike", "tau", "rate", "sigma"):
+        sub.add_argument(f"--{name}", type=float, required=True, help=helps.get(name))
+
+
+def _add_vol_source(sub: argparse.ArgumentParser, **helps: str) -> None:
+    """Where vol and surface take sigma from: --method, and the --returns, --window or --vix it reads."""
+    sub.add_argument("--method", choices=volatility.VOL_METHODS, required=True)
+    sub.add_argument("--returns", default=None, help=helps.get("returns"))
+    sub.add_argument("--window", type=int, default=252, help=helps.get("window"))
+    sub.add_argument("--vix", type=float, default=None, help=helps.get("vix"))
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared after it: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="predbs",
         description="Predictability-adjusted option pricing, simulation, estimation and calibration.",
@@ -75,11 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("price", help="closed-form call/put price with predictability yield")
-    sp.add_argument("--spot", type=float, required=True)
-    sp.add_argument("--strike", type=float, required=True)
-    sp.add_argument("--tau", type=float, required=True, help="time to maturity in years")
-    sp.add_argument("--rate", type=float, required=True, help="continuous risk-free rate per year")
-    sp.add_argument("--sigma", type=float, required=True, help="annualized volatility")
+    _add_scenario(sp, tau="time to maturity in years", rate="continuous risk-free rate per year",
+                  sigma="annualized volatility")
     sp.add_argument("--p", type=_bounded_float("p", -1.0, 1.0), default=0.0,
                     help="excess predictability in [-1, 1]")
     sp.add_argument("--right", choices=("call", "put"), default="call")
@@ -100,10 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = subs.add_parser("vol", help="sigma estimate from a returns file or VIX quote")
-    sp.add_argument("--method", choices=volatility.VOL_METHODS, required=True)
-    sp.add_argument("--returns", default=None, help="CSV date,log_return or date,close")
-    sp.add_argument("--window", type=int, default=252, help="trading days (historical/realized)")
-    sp.add_argument("--vix", type=float, default=None, help="VIX quote in index points")
+    _add_vol_source(sp, returns="CSV date,log_return or date,close", window="trading days (historical/realized)",
+                    vix="VIX quote in index points")
     _add_common(sp)
     sp.set_defaults(func=cmd_vol)
 
@@ -116,11 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("calibrate", help="implied excess predictability for one quote")
     sp.add_argument("--market-price", type=float, required=True)
-    sp.add_argument("--spot", type=float, required=True)
-    sp.add_argument("--strike", type=float, required=True)
-    sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--rate", type=float, required=True)
-    sp.add_argument("--sigma", type=float, required=True)
+    _add_scenario(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_calibrate)
 
@@ -128,10 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chain", required=True, help="option chain CSV")
     sp.add_argument("--spot", type=float, required=True)
     sp.add_argument("--rate", type=float, required=True)
-    sp.add_argument("--method", choices=volatility.VOL_METHODS, required=True)
-    sp.add_argument("--returns", default=None)
-    sp.add_argument("--window", type=int, default=252)
-    sp.add_argument("--vix", type=float, default=None)
+    _add_vol_source(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_surface)
 
@@ -277,14 +281,8 @@ def cmd_diff_surface(args) -> int:
     return 0
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser main reuses: parse_args keeps no state between calls."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PredbsError, OSError) as exc:

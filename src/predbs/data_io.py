@@ -46,12 +46,11 @@ Source = Union[str, Path, TextIO, io.IOBase]
 CHAIN_HEADER = ["quote_date", "expiry", "strike", "right", "bid", "ask"]
 SURFACE_HEADER = ["moneyness", "tau_years", "p", "clamped", "market_price", "model_price", "residual"]
 DIFF_HEADER = ["moneyness", "tau_years", "dp"]
-# '%.17g' % x is format(x, ".17g"): 17 significant digits round-trip every binary64 value
-_SURFACE_ROW = "%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g\n"
-_SURFACE_CELLS = attrgetter("moneyness", "tau", "p", "clamped", "market_price", "model_price", "residual")
+# '%.17g' % x is format(x, ".17g"): 17 significant digits round-trip every binary64 value; '%s' % flag is its text
+_SURFACE_ROW = ",".join("%s" if col == "clamped" else "%.17g" for col in SURFACE_HEADER) + "\n"
+_SURFACE_CELLS = attrgetter(*(col.replace("tau_years", "tau") for col in SURFACE_HEADER))  # a point's cells, by column
 _DIFF_ROW = "%.17g,%.17g,%.17g\n"
 _CLAMP_FLAGS = {s.value: s for s in ClampStatus}
-_CLAMP_TEXT = {s: s.value for s in ClampStatus}  # a dict lookup, not enum's Python-level .value, per row
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,8 @@ def parse_return_series(source: Source) -> ReturnSeries:
             return ReturnSeries(dates=tuple(dates), returns=values)
         if len(values) >= 3 and dates[0] < dates[1] and min(values) > 0:  # what a series of log-ratios cannot check
             return ReturnSeries(dates=tuple(dates[1:]), returns=list(map(_log_ratio, values[1:], values)))
-    except (IndexError, ValueError):  # InputError is a ValueError, as is _log_ratio's domain error
-        pass
+    except (IndexError, ValueError) as exc:  # InputError is a ValueError, as is _log_ratio's domain error
+        fault = exc
     last = None
     for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
         if len(row) < 2:
@@ -243,10 +242,7 @@ def parse_return_series(source: Source) -> ReturnSeries:
         last = d
     if mode == "closes":  # with every line sound, only the count is left to fail
         raise ParseError(f"{what}: need >= 3 closes to form >= 2 returns")
-    try:
-        return ReturnSeries(dates=tuple(dates), returns=values)
-    except InputError as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+    raise ParseError(f"{what}: {fault}") from fault  # every line sound: the series itself is refused
 
 
 def _meta_path(path: Union[str, Path]) -> Path:
@@ -275,8 +271,7 @@ def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> Non
         raise InputError(f"surface path {path} ends in .json, the metadata sidecar's own name")
     with _overwrite(path) as fh:
         fh.write(",".join(SURFACE_HEADER) + "\n")
-        fh.writelines(_SURFACE_ROW % (m, t, p, _CLAMP_TEXT[flag], price, model, residual)
-                      for m, t, p, flag, price, model, residual in map(_SURFACE_CELLS, surface.points))
+        fh.writelines(_SURFACE_ROW % cells for cells in map(_SURFACE_CELLS, surface.points))
     meta = {"method": surface.method, "spot": surface.spot, "rate": surface.rate,
             "as_of": surface.as_of.isoformat() if surface.as_of else None,
             "points": len(surface.points), "failures": list(surface.failures)}
@@ -294,16 +289,14 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
     if extra:
         warnings.warn(f"{what} {path}: ignoring unknown columns {extra}", stacklevel=2)
     data = list(filter(None, rows))
-    column = lambda col: map(itemgetter(idx[col]), data)
-    floats = lambda col: map(float, column(col))
+    def column(col: str) -> Iterator:
+        cells = map(itemgetter(idx[col]), data)
+        return map(_CLAMP_FLAGS.__getitem__, map(str.strip, cells)) if col == "clamped" else map(float, cells)
     try:  # by column: any fault sends the parse to the walk below, which raises the first faulty line's error
-        points = list(map(CalibrationPoint, floats("moneyness"), floats("tau_years"), floats("p"),
-                          map(_CLAMP_FLAGS.__getitem__, map(str.strip, column("clamped"))),
-                          floats("market_price"), floats("model_price"), floats("residual")))
+        points = list(map(CalibrationPoint, *map(column, SURFACE_HEADER)))
     except (IndexError, KeyError, ValueError):  # InputError is a ValueError
-        points = None
-    if points is None:
         points = []
+    if not points:  # a fault, or no rows: the walk reads every line
         for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
             if len(row) < width:
                 raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")

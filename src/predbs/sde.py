@@ -157,9 +157,6 @@ class IntegrandPath:
         rec = b if fine is None else fine
         return cls(lambda t: np.interp(t, rec.times, rec.values))
 
-    def at(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(t), dtype=float)
-
 
 def ito_integral(theta: IntegrandPath, b: BrownianPath) -> float:
     """Left-point stochastic integral sum_j theta(t_j) * dB_j (does not look ahead)."""
@@ -175,7 +172,7 @@ def stratonovich_alpha_integral(theta: IntegrandPath, b: BrownianPath, alpha: fl
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
     t_off = b.times[:-1] * (1.0 - alpha) + alpha * b.times[1:]
-    return float(np.sum(theta.at(t_off) * np.diff(b.values)))
+    return float(np.sum(np.asarray(theta.evaluator(t_off), dtype=float) * np.diff(b.values)))
 
 
 def stratonovich_half_integral(theta: IntegrandPath, b: BrownianPath) -> float:

@@ -112,8 +112,12 @@ def _in_units(r: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(r, -e), e
 
 
-def _estimate(method: str, sigma_units: float, e: int, window: int, series: ReturnSeries) -> VolEstimate:
-    """The estimate whose daily sigma is sigma_units 2^e; VolEstimate refuses it past the float range."""
+def _windowed(method: str, series: ReturnSeries, window: int) -> VolEstimate:
+    """historical_vol or realized_vol, formed in _in_units: past the float range, VolEstimate refuses the estimate."""
+    if window < 2:
+        raise InputError(f"{method} window must be >= 2")
+    z, e = _in_units(series.last(window))
+    sigma_units = float(np.std(z, ddof=1)) if method == "historical" else math.sqrt(np.mean(z * z))
     try:
         sigma_daily = math.ldexp(sigma_units, e)
     except OverflowError:
@@ -123,18 +127,12 @@ def _estimate(method: str, sigma_units: float, e: int, window: int, series: Retu
 
 def historical_vol(series: ReturnSeries, window: int) -> VolEstimate:
     """Mean-subtracted sample standard deviation (divisor n-1) of the last `window` returns."""
-    if window < 2:
-        raise InputError("historical window must be >= 2")
-    z, e = _in_units(series.last(window))
-    return _estimate("historical", float(np.std(z, ddof=1)), e, window, series)
+    return _windowed("historical", series, window)
 
 
 def realized_vol(series: ReturnSeries, window: int) -> VolEstimate:
     """Root mean square of the last `window` returns; no mean subtraction."""
-    if window < 2:
-        raise InputError("realized window must be >= 2")
-    z, e = _in_units(series.last(window))
-    return _estimate("realized", math.sqrt(np.mean(z * z)), e, window, series)
+    return _windowed("realized", series, window)
 
 
 def vix_to_sigma(vix_quote: float) -> VolEstimate:
@@ -378,7 +376,8 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
         raise EstimationError("degenerate likelihood: series variance is (numerically) zero")
     sd = math.sqrt(var)
     z = series.returns / sd
-    seen = [_PENALTY, *_starting_points(z)]  # the lowest value SLSQP evaluated, and where
+    (start,) = _starting_points(z)  # one start: a second would need a fit that runs from each
+    seen = [_PENALTY, start]  # the lowest value SLSQP evaluated, and where
     workspace = _Workspace(z.size)  # for every evaluation of the fit, and for its log-likelihood
 
     def nll(x, r):

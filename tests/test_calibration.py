@@ -61,6 +61,12 @@ def test_round_trip_randomized_grid():
         assert abs(point.residual) <= 1e-9 * kw["spot"]
 
 
+@pytest.mark.parametrize("flag", list(ClampStatus))
+def test_a_clamp_flag_formats_as_its_value(flag):
+    # write_surface prints a flag with '%s', as enum.StrEnum formats on 3.11
+    assert str(flag) == "%s" % flag == format(flag) == f"{flag}" == flag.value
+
+
 def test_clamp_low_side():
     # price above the p=-1 model value but below the no-arbitrage cap
     hi = model_price(p=-1.0, **BASE)

@@ -122,16 +122,14 @@ def test_missing_subcommand_rejected(capsys):
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     from predbs import cli
 
-    built, windows = [], []
-    real_build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    windows = []
 
     def record_window(method, returns_path, window, vix):
         windows.append(window)
         raise PredbsError("window recorded")
 
     monkeypatch.setattr(cli, "_vol_estimate", record_window)
-    cli._shared_parser.cache_clear()
+    cli.build_parser.cache_clear()
     try:
         assert main(["vol", "--method", "historical", "--returns", "r.csv", "--window", "30"]) == 1
         with pytest.raises(SystemExit) as exc:
@@ -140,11 +138,11 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
         assert main(["surface", "--chain", "c.csv", "--spot", "100", "--rate", "0.05",
                      "--method", "historical", "--returns", "r.csv", "--out", "s.csv"]) == 1
         assert main(PRICE_ARGS) == 0
+        built = cli.build_parser.cache_info().misses  # one per parser built
     finally:
-        cli._shared_parser.cache_clear()
-    assert len(built) == 1
+        cli.build_parser.cache_clear()
+    assert built == 1
     assert windows == [30, 252]  # the vol call's --window does not stick to the next call
-    assert real_build() is not real_build()
 
 
 @pytest.mark.parametrize("argv", [

@@ -536,6 +536,15 @@ def test_garch_fit_without_a_finite_likelihood_is_refused(monkeypatch):
         fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=300, seed=1))
 
 
+@pytest.mark.parametrize("starts", [0, 2])
+def test_garch_fit_refuses_any_start_count_but_one(monkeypatch, starts):
+    # the fit runs from one start; a start list of another length must not be fitted from its first entry only
+    one = volatility._starting_points
+    monkeypatch.setattr(volatility, "_starting_points", lambda z: one(z) * starts)
+    with pytest.raises(ValueError, match="values to unpack"):
+        fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=300, seed=1))
+
+
 def test_a_fits_evaluations_after_its_first_allocate_less_than_one_series_array(monkeypatch):
     # the fit makes one workspace, for every evaluation and for its log-likelihood; with a fresh array per
     # temporary an evaluation peaked at about 18 series-sized arrays
