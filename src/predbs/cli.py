@@ -2,10 +2,10 @@
 
 Subcommands: price, simulate, vol, vrp, calibrate, surface, diff-surface.
 Summaries go to stdout (table, csv or json); data files go to --out paths.
-Exit codes: 0 success, 1 domain error, 2 usage error.  Identical invocations
-on identical inputs produce byte-identical output.  build_parser builds the
-parser once per process and returns that one to main and every other caller,
-so in-process callers do not pay for argparse on every call.
+Exit codes: 0 success, 1 domain, file or memory error, 2 usage error.
+Identical invocations on identical inputs produce byte-identical output.
+build_parser builds the parser once per process and shares it with main and
+every other caller, so in-process callers pay for argparse only once.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ def _bounded_float(name: str, lo: float, hi: float):
 
 
 def _render(fields: list[tuple[str, object]], fmt: str) -> str:
-    """Deterministic rendering of an ordered field list; non-finite floats read inf, -inf, nan."""
+    """Deterministic rendering of an ordered field list; non-finite floats read inf, -inf, nan, and None ""."""
     if fmt == "json":
-        doc = {k: _cell(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in fields}
+        doc = {k: v if isinstance(v, (str, int)) or isinstance(v, float) and math.isfinite(v) else _cell(v)
+               for k, v in fields}
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         head = ",".join(k for k, _ in fields)
@@ -51,7 +52,7 @@ def _render(fields: list[tuple[str, object]], fmt: str) -> str:
 def _cell(v: object) -> str:
     if isinstance(v, float):
         return format(v, ".12g")
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _emit(args, fields: list[tuple[str, object]], to_file: bool = True) -> None:
@@ -63,22 +64,26 @@ def _emit(args, fields: list[tuple[str, object]], to_file: bool = True) -> None:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="write the result to this file as well")
+    sub.add_argument("--out", default=None, help="write the result to this file as well; "
+                     "surface and diff-surface require it and write their CSV there")
     sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
 
-def _add_scenario(sub: argparse.ArgumentParser, **helps: str) -> None:
-    """The five floats of a pricing scenario, as price and calibrate take them; helps maps a name to its help."""
-    for name in ("spot", "strike", "tau", "rate", "sigma"):
-        sub.add_argument(f"--{name}", type=float, required=True, help=helps.get(name))
+def _add_scenario(sub: argparse.ArgumentParser) -> None:
+    """The five floats of a pricing scenario, as price and calibrate take them."""
+    sub.add_argument("--spot", type=float, required=True)
+    sub.add_argument("--strike", type=float, required=True)
+    sub.add_argument("--tau", type=float, required=True, help="time to maturity in years")
+    sub.add_argument("--rate", type=float, required=True, help="continuous risk-free rate per year")
+    sub.add_argument("--sigma", type=float, required=True, help="annualized volatility")
 
 
-def _add_vol_source(sub: argparse.ArgumentParser, **helps: str) -> None:
+def _add_vol_source(sub: argparse.ArgumentParser) -> None:
     """Where vol and surface take sigma from: --method, and the --returns, --window or --vix it reads."""
     sub.add_argument("--method", choices=volatility.VOL_METHODS, required=True)
-    sub.add_argument("--returns", default=None, help=helps.get("returns"))
-    sub.add_argument("--window", type=int, default=252, help=helps.get("window"))
-    sub.add_argument("--vix", type=float, default=None, help=helps.get("vix"))
+    sub.add_argument("--returns", default=None, help="CSV date,log_return or date,close")
+    sub.add_argument("--window", type=int, default=252, help="trading days (historical/realized)")
+    sub.add_argument("--vix", type=float, default=None, help="VIX quote in index points")
 
 
 @functools.cache
@@ -91,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("price", help="closed-form call/put price with predictability yield")
-    _add_scenario(sp, tau="time to maturity in years", rate="continuous risk-free rate per year",
-                  sigma="annualized volatility")
+    _add_scenario(sp)
     sp.add_argument("--p", type=_bounded_float("p", -1.0, 1.0), default=0.0,
                     help="excess predictability in [-1, 1]")
     sp.add_argument("--right", choices=("call", "put"), default="call")
@@ -113,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = subs.add_parser("vol", help="sigma estimate from a returns file or VIX quote")
-    _add_vol_source(sp, returns="CSV date,log_return or date,close", window="trading days (historical/realized)",
-                    vix="VIX quote in index points")
+    _add_vol_source(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_vol)
 
@@ -148,21 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_price(args) -> int:
+def cmd_price(args) -> None:
     inputs = pricing.PricingInputs(spot=args.spot, strike=args.strike, tau=args.tau,
                                    rate=args.rate, sigma=args.sigma, p=args.p)
     result = pricing.call_price(inputs) if args.right == "call" else pricing.put_price(inputs)
-    _emit(args, [
-        ("right", args.right),
-        ("price", result.price),
-        ("d_plus", result.d_plus),
-        ("d_minus", result.d_minus),
-        ("dividend_yield", result.dividend_yield),
-    ])
-    return 0
+    _emit(args, [("right", args.right), *vars(result).items()])
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     cfg = sde.PathSimConfig(mu=args.mu, sigma=args.sigma, alpha=args.alpha, s0=args.s0,
                             horizon=args.horizon, steps=args.steps, paths=args.paths,
                             seed=args.seed)
@@ -176,7 +172,6 @@ def cmd_simulate(args) -> int:
         ("steps", args.steps),
         ("seed", args.seed),
     ])
-    return 0
 
 
 def _vol_estimate(method: str, returns_path, window: int, vix) -> volatility.VolEstimate:
@@ -195,30 +190,16 @@ def _vol_estimate(method: str, returns_path, window: int, vix) -> volatility.Vol
     return volatility.garch_forecast_vol(params, series)
 
 
-def cmd_vol(args) -> int:
-    est = _vol_estimate(args.method, args.returns, args.window, args.vix)
-    _emit(args, [
-        ("method", est.method),
-        ("sigma_daily", est.sigma_daily),
-        ("sigma_annual", est.sigma_annual),
-        ("window", est.window if est.window is not None else ""),
-        ("as_of", est.as_of.isoformat() if est.as_of else ""),
-    ])
-    return 0
+def cmd_vol(args) -> None:
+    _emit(args, list(vars(_vol_estimate(args.method, args.returns, args.window, args.vix)).items()))
 
 
-def cmd_vrp(args) -> int:
+def cmd_vrp(args) -> None:
     series = data_io.parse_return_series(args.returns)
-    result = volatility.variance_risk_premium(args.vix, series, args.window)
-    _emit(args, [
-        ("implied_variance", result.implied_variance),
-        ("realized_variance", result.realized_variance),
-        ("vrp", result.vrp),
-    ])
-    return 0
+    _emit(args, list(vars(volatility.variance_risk_premium(args.vix, series, args.window)).items()))
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> None:
     point = calibration.implied_excess_predictability(
         args.market_price, args.spot, args.strike, args.tau, args.rate, args.sigma)
     _emit(args, [
@@ -230,10 +211,9 @@ def cmd_calibrate(args) -> int:
         ("model_price", point.model_price),
         ("residual", point.residual),
     ])
-    return 0
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args) -> None:
     if not args.out:
         raise PredbsError("surface requires --out for the surface CSV")
     est = _vol_estimate(args.method, args.returns, args.window, args.vix)
@@ -258,10 +238,9 @@ def cmd_surface(args) -> int:
         ("out", str(args.out)),
     ]
     _emit(args, fields, to_file=False)  # --out holds the surface CSV, not the summary
-    return 0
 
 
-def cmd_diff_surface(args) -> int:
+def cmd_diff_surface(args) -> None:
     if not args.out:
         raise PredbsError("diff-surface requires --out for the diff CSV")
     base = data_io.read_surface(args.base)
@@ -278,16 +257,16 @@ def cmd_diff_surface(args) -> int:
         ("out", str(args.out)),
     ]
     _emit(args, fields, to_file=False)  # --out holds the diff CSV, not the summary
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (PredbsError, OSError) as exc:
+        args.func(args)
+    except (PredbsError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

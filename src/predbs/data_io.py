@@ -2,8 +2,10 @@
 
 Parsers are total: any byte stream either yields a validated value or raises
 ParseError / DataQualityError with a line-level message, never an unrelated
-exception.  Dirty rows are skipped with a diagnostic (real chain downloads
-are dirty); files where more than half the rows fail are rejected outright.
+exception.  A message's "line N" counts CSV records, the header being line 1,
+not physical lines: a quoted cell that spans lines shifts every later number.
+Dirty rows are skipped with a diagnostic (real chain downloads are dirty);
+files where more than half the rows fail are rejected outright.
 Floats are serialized with 17 significant digits, by the row formats
 _SURFACE_ROW and _DIFF_ROW, so write-then-read is the identity on binary64
 values.  Outputs are overwritten in place and cut to length; like the
@@ -143,18 +145,18 @@ def _column_index(header: list[str], expected: list[str], what: str) -> tuple[di
     return idx, max(idx.values()) + 1
 
 
-def _parse_date(text: str, what: str, line_no: int) -> date:
+def _parse_date(text: str) -> date:
     try:
         return date.fromisoformat(text.strip())
     except ValueError as exc:
-        raise ParseError(f"{what} line {line_no}: bad date {text!r}") from exc
+        raise ValueError(f"bad date {text!r}") from exc
 
 
-def _parse_float(text: str, what: str, line_no: int) -> float:
+def _parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError as exc:
-        raise ParseError(f"{what} line {line_no}: bad number {text!r}") from exc
+        raise ValueError(f"bad number {text!r}") from exc
 
 
 def parse_option_chain(source: Source, spot: float) -> OptionChain:
@@ -176,24 +178,21 @@ def parse_option_chain(source: Source, spot: float) -> OptionChain:
     for line_no, row in rows:
         try:
             if len(row) < width:
-                raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")
+                raise ValueError(f"expected {width} fields, got {len(row)}")
             qd_text, expiry_text, strike_text, right_text, bid_text, ask_text = fields(row)
             try:
                 qd, expiry = date.fromisoformat(qd_text.strip()), date.fromisoformat(expiry_text.strip())
                 strike, bid, ask = float(strike_text), float(bid_text), float(ask_text)
             except ValueError:  # again through the wrappers, which name the first bad field
-                qd, expiry = _parse_date(qd_text, what, line_no), _parse_date(expiry_text, what, line_no)
-                strike, bid, ask = (_parse_float(strike_text, what, line_no), _parse_float(bid_text, what, line_no),
-                                    _parse_float(ask_text, what, line_no))
+                qd, expiry = _parse_date(qd_text), _parse_date(expiry_text)
+                strike, bid, ask = _parse_float(strike_text), _parse_float(bid_text), _parse_float(ask_text)
             quote = OptionQuote(qd, expiry, strike, right_text.strip().lower(), bid, ask)
             if chain_date is None:
                 chain_date = quote.quote_date
             elif quote.quote_date != chain_date:
-                raise ParseError(
-                    f"{what} line {line_no}: quote_date {quote.quote_date} differs from {chain_date}"
-                )
-        except (ParseError, InputError) as exc:
-            skipped.append(str(exc) if str(exc).startswith(what) else f"{what} line {line_no}: {exc}")
+                raise ValueError(f"quote_date {quote.quote_date} differs from {chain_date}")
+        except ValueError as exc:  # InputError is a ValueError
+            skipped.append(f"{what} line {line_no}: {exc}")
             continue
         quotes.append(quote)
     if not rows:
@@ -230,15 +229,18 @@ def parse_return_series(source: Source) -> ReturnSeries:
         fault = exc
     last = None
     for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
-        if len(row) < 2:
-            raise ParseError(f"{what} line {line_no}: expected 2 fields, got {len(row)}")
-        d, v = _parse_date(row[0], what, line_no), _parse_float(row[1], what, line_no)
-        if not math.isfinite(v):
-            raise ParseError(f"{what} line {line_no}: non-finite value {row[1]!r}")
-        if last is not None and d <= last:
-            raise ParseError(f"{what} line {line_no}: dates not strictly ascending at {d}")
-        if mode == "closes" and v <= 0:
-            raise ParseError(f"{what} line {line_no}: non-positive close {v}")
+        try:
+            if len(row) < 2:
+                raise ValueError(f"expected 2 fields, got {len(row)}")
+            d, v = _parse_date(row[0]), _parse_float(row[1])
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {row[1]!r}")
+            if last is not None and d <= last:
+                raise ValueError(f"dates not strictly ascending at {d}")
+            if mode == "closes" and v <= 0:
+                raise ValueError(f"non-positive close {v}")
+        except ValueError as exc:
+            raise ParseError(f"{what} line {line_no}: {exc}") from exc
         last = d
     if mode == "closes":  # with every line sound, only the count is left to fail
         raise ParseError(f"{what}: need >= 3 closes to form >= 2 returns")
@@ -298,15 +300,14 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
         points = []
     if not points:  # a fault, or no rows: the walk reads every line
         for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
-            if len(row) < width:
-                raise ParseError(f"{what} line {line_no}: expected {width} fields, got {len(row)}")
-            if (flag := row[idx["clamped"]].strip()) not in _CLAMP_FLAGS:
-                raise ParseError(f"{what} line {line_no}: unknown clamp flag {flag!r}")
-            cells = [_CLAMP_FLAGS[flag] if col == "clamped" else _parse_float(row[idx[col]], what, line_no)
-                     for col in SURFACE_HEADER]
             try:
+                if len(row) < width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                if (flag := row[idx["clamped"]].strip()) not in _CLAMP_FLAGS:
+                    raise ValueError(f"unknown clamp flag {flag!r}")
+                cells = [_CLAMP_FLAGS[flag] if c == "clamped" else _parse_float(row[idx[c]]) for c in SURFACE_HEADER]
                 points.append(CalibrationPoint(*cells))
-            except InputError as exc:
+            except ValueError as exc:  # InputError is a ValueError
                 raise ParseError(f"{what} line {line_no}: {exc}") from exc
 
     meta_file = _meta_path(path)

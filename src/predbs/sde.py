@@ -23,8 +23,8 @@ offset-rule SDE with parameter a is the plain SDE with drift mu + a*sigma^2.
 Randomness comes from counter-based Philox streams keyed by the config
 seed, with path i owning row i of a fixed (paths, steps) draw layout, so
 batches are bit-reproducible and independent of any internal parallelism.
-The simulator draws that layout in row blocks, in O(paths + block) memory; statistics are fixed-order
-block sums in O(block). The MC pricer samples the forward and forms its payoff on the one paths-long array.
+The simulator draws that layout in blocks of whole rows, in O(paths + max(2^16, steps)) memory, and sums
+in fixed-order blocks of 2^16. The MC pricer samples the forward and forms its payoff on one paths-long array.
 numpy is bound once, as the global np, and loads at the module's first numpy call: importing it loads no numpy.
 """
 
@@ -203,8 +203,8 @@ class PathSimConfig:
             raise InputError("s0 must be > 0")
         if self.horizon <= 0:
             raise InputError("horizon must be > 0")
-        if self.steps < 1 or self.paths < 1:
-            raise InputError("steps and paths must be >= 1")
+        if not (1 <= self.steps < 1 << 60 and 1 <= self.paths < 1 << 60):  # 2^60 float64s: numpy's 2^63 bytes
+            raise InputError(f"steps and paths must be >= 1 and < 2**60, got {self.steps} and {self.paths}")
 
     @property
     def log_drift(self) -> float:
@@ -246,7 +246,7 @@ def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
     """Simulate the offset-convention SDE: the plain SDE with drift mu + alpha*sigma^2.
 
     alpha = 0 is the left-point (Ito) SDE dS = mu S dt + sigma S dB.
-    The (paths, steps) draw comes in blocks of whole rows (path i owns row i): memory O(paths + block).
+    The (paths, steps) draw comes in blocks of whole rows (path i owns row i): memory O(paths + max(2^16, steps)).
     """
     dt = cfg.horizon / cfg.steps
     inc_drift = cfg.log_drift * dt

@@ -107,6 +107,22 @@ def test_method_choices_are_vol_methods():
         assert tuple(method.choices) == VOL_METHODS
 
 
+@pytest.mark.parametrize("described, sharing, flags", [
+    ("price", "calibrate", {"--tau", "--rate", "--sigma"}),
+    ("vol", "surface", {"--returns", "--window", "--vix"}),
+])
+def test_a_shared_flag_carries_its_help_text_on_every_subcommand(described, sharing, flags):
+    from predbs.cli import build_parser
+
+    subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+    def helps(name):
+        return {opt: a.help for a in subs[name]._actions for opt in a.option_strings}
+    texts, shared = {opt: text for opt, text in helps(described).items() if text}, helps(sharing)
+    common = texts.keys() & shared.keys()
+    assert common >= flags
+    assert {opt: shared[opt] for opt in common} == {opt: texts[opt] for opt in common}
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(PRICE_ARGS + ["--bogus", "1"])
@@ -241,6 +257,29 @@ def test_simulate_alpha_out_of_range(capsys):
         main(["simulate", "--mu", "0", "--sigma", "0.2", "--alpha", "half"])
     assert exc.value.code == 2
     assert "invalid float 'half'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--paths"])
+def test_simulate_past_numpys_array_limit_is_domain_error(flag, capsys):
+    # 2^60 float64 values are 2^63 bytes, past numpy's limit: the config refuses them before any allocation
+    code, out, err = run_cli(capsys, "simulate", "--mu", "0", "--sigma", "0.2", "--paths", "10", "--steps", "4",
+                             flag, str(1 << 60))
+    assert code == 1 and out == ""
+    assert err.startswith("error: steps and paths must be >= 1 and < 2**60") and err.count("\n") == 1
+
+
+def test_main_reports_an_exhausted_memory_as_domain_error(monkeypatch, capsys):
+    from predbs import sde
+
+    message = "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) and data type float64"
+
+    def exhausted(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sde, "simulate_stratonovich_alpha", exhausted)
+    code, out, err = run_cli(capsys, "simulate", "--mu", "0", "--sigma", "0.2", "--paths", str(10 ** 15))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # --------------------------------------------------------------- vol / vrp
