@@ -2,7 +2,9 @@
 
 Subcommands: price, simulate, vol, vrp, calibrate, surface, diff-surface.
 Summaries go to stdout (table, csv or json); data files go to --out paths.
-Exit codes: 0 success, 1 domain, file or memory error, 2 usage error.
+Exit codes: 0 success, 1 domain, file or memory error, 2 usage error seen by the
+parser.  A flag that only some subcommands or methods need exits 1 when missing:
+--out for surface and diff-surface, --vix for method vix, --returns for the rest.
 Identical invocations on identical inputs produce byte-identical output.
 build_parser builds the parser once per process and shares it with main and
 every other caller, so in-process callers pay for argparse only once.

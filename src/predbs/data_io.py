@@ -179,14 +179,9 @@ def parse_option_chain(source: Source, spot: float) -> OptionChain:
         try:
             if len(row) < width:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
-            qd_text, expiry_text, strike_text, right_text, bid_text, ask_text = fields(row)
-            try:
-                qd, expiry = date.fromisoformat(qd_text.strip()), date.fromisoformat(expiry_text.strip())
-                strike, bid, ask = float(strike_text), float(bid_text), float(ask_text)
-            except ValueError:  # again through the wrappers, which name the first bad field
-                qd, expiry = _parse_date(qd_text), _parse_date(expiry_text)
-                strike, bid, ask = _parse_float(strike_text), _parse_float(bid_text), _parse_float(ask_text)
-            quote = OptionQuote(qd, expiry, strike, right_text.strip().lower(), bid, ask)
+            qd, expiry, strike, right, bid, ask = fields(row)
+            quote = OptionQuote(_parse_date(qd), _parse_date(expiry), _parse_float(strike), right.strip().lower(),
+                                _parse_float(bid), _parse_float(ask))
             if chain_date is None:
                 chain_date = quote.quote_date
             elif quote.quote_date != chain_date:
@@ -211,17 +206,14 @@ def parse_return_series(source: Source) -> ReturnSeries:
     """Parse a returns CSV: header date,log_return, or date,close (auto log-differenced)."""
     what = "return series"
     header, rows = _read_csv(source, what)
-    if header[:2] == ["date", "log_return"]:
-        mode = "returns"
-    elif header[:2] == ["date", "close"]:
-        mode = "closes"
-    else:
+    closes = header[:2] == ["date", "close"]
+    if not closes and header[:2] != ["date", "log_return"]:
         raise ParseError(f"{what}: header must be date,log_return or date,close, got {header}")
     data = list(filter(None, rows))
     try:  # by column: any fault sends the parse to the walk below, which raises the first faulty line's error
         dates = list(map(date.fromisoformat, map(str.strip, map(itemgetter(0), data))))
         values = list(map(float, map(itemgetter(1), data)))
-        if mode == "returns":
+        if not closes:
             return ReturnSeries(dates=tuple(dates), returns=values)
         if len(values) >= 3 and dates[0] < dates[1] and min(values) > 0:  # what a series of log-ratios cannot check
             return ReturnSeries(dates=tuple(dates[1:]), returns=list(map(_log_ratio, values[1:], values)))
@@ -237,12 +229,12 @@ def parse_return_series(source: Source) -> ReturnSeries:
                 raise ValueError(f"non-finite value {row[1]!r}")
             if last is not None and d <= last:
                 raise ValueError(f"dates not strictly ascending at {d}")
-            if mode == "closes" and v <= 0:
+            if closes and v <= 0:
                 raise ValueError(f"non-positive close {v}")
         except ValueError as exc:
             raise ParseError(f"{what} line {line_no}: {exc}") from exc
         last = d
-    if mode == "closes":  # with every line sound, only the count is left to fail
+    if closes:  # with every line sound, only the count is left to fail
         raise ParseError(f"{what}: need >= 3 closes to form >= 2 returns")
     raise ParseError(f"{what}: {fault}") from fault  # every line sound: the series itself is refused
 
@@ -325,11 +317,14 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
             raise ParseError(f"{what}: metadata lacks {key!r}")
     if meta["points"] != len(points):
         raise ParseError(f"{what}: metadata sidecar says {meta['points']!r} points, file has {len(points)} rows")
+    method, failures = meta["method"], meta.get("failures", [])
     try:
+        if not (isinstance(method, str) and isinstance(failures, list) and all(isinstance(f, str) for f in failures)):
+            raise TypeError(f"method must be a string and failures a list of strings, got {method!r} and {failures!r}")
         as_of = date.fromisoformat(meta["as_of"]) if meta.get("as_of") else None
         return PredictabilitySurface(
-            method=str(meta["method"]), spot=float(meta["spot"]), rate=float(meta["rate"]),
-            as_of=as_of, points=tuple(points), failures=tuple(meta.get("failures", ())),
+            method=method, spot=float(meta["spot"]), rate=float(meta["rate"]),
+            as_of=as_of, points=tuple(points), failures=failures,
         )
     except (InputError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: invalid content: {exc}") from exc

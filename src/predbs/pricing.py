@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InputError
 
@@ -192,10 +192,7 @@ def pde_residual(inputs: PricingInputs, pde_p: float | None = None) -> float:
     ht, hs = h * tau, h * s
 
     def at(spot_x: float, tau_x: float) -> float:
-        return call_price(
-            PricingInputs(spot=spot_x, strike=inputs.strike, tau=tau_x,
-                          rate=inputs.rate, sigma=inputs.sigma, p=inputs.p)
-        ).price
+        return call_price(replace(inputs, spot=spot_x, tau=tau_x)).price
 
     c0 = at(s, tau)
     # dC/dt = -dC/dtau

@@ -227,17 +227,16 @@ class _Workspace:
     value leaves its intermediates in the buffers, and gradient forms the gradient from them, so a caller that needs
     the gradient at only some points (SLSQP's line search reads values alone) pays for it only there."""
 
-    def __init__(self, size: int, likelihood: bool = True):
+    def __init__(self, size: int):
         n = size - 1
         self.eps, self.eps2, self.s2, self.tmp = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n + 1)
         self.s2_now, self.s2_next, self.s2_passes = self.s2[:-1], self.s2[1:], _passes(self.s2, self.tmp)
         self.last = None  # (params bytes, r, x, dC/deta or None at a penalty) of the value the buffers hold
-        if likelihood:  # a forecast runs only the filter
-            self.d, self.m, self.u, self.log1p_u, self.w, self.e, self.p, self.z, self.z2, self.q, self.t1, self.t2, \
-                self.gr = (np.empty(n) for _ in range(13))  # gr: g = d ll / d sigma^2, reversed (see gradient)
-            self.mask, self.g_next, self.g = np.empty(n, dtype=bool), np.empty(n - 1), self.gr[::-1]
-            self.s2_rev, self.w_rev, self.g_tail, self.t1_head = self.s2[-2::-1], self.w[::-1], self.g[1:], self.t1[:-1]
-            self.g_passes = _passes(self.gr, self.tmp)
+        self.d, self.m, self.u, self.log1p_u, self.w, self.e, self.p, self.z, self.z2, self.q, self.t1, self.t2, \
+            self.gr = (np.empty(n) for _ in range(13))  # gr: g = d ll / d sigma^2, reversed (see gradient)
+        self.mask, self.g_next, self.g = np.empty(n, dtype=bool), np.empty(n - 1), self.gr[::-1]
+        self.s2_rev, self.w_rev, self.g_tail, self.t1_head = self.s2[-2::-1], self.w[::-1], self.g[1:], self.t1[:-1]
+        self.g_passes = _passes(self.gr, self.tmp)
 
     def filter(self, x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, eta):
@@ -415,7 +414,7 @@ def _log_likelihood(params: GarchParams, series: ReturnSeries, workspace: _Works
 def garch_forecast_vol(params: GarchParams, series: ReturnSeries) -> VolEstimate:
     """One-step-ahead conditional sigma: the last entry of the filtered sigma^2 path."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s2_next = _Workspace(len(series), likelihood=False).filter(params._vector(), series.returns)[2][-1]
+        s2_next = _Workspace(len(series)).filter(params._vector(), series.returns)[2][-1]
     if not math.isfinite(s2_next) or s2_next <= 0:
         raise InputError("forecast variance is not positive; params invalid for this series")
     return VolEstimate.from_daily("garch", math.sqrt(s2_next), len(series), series.as_of)

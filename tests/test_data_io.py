@@ -378,6 +378,11 @@ def test_surface_read_rejects_bad_sidecar(tmp_path):
         (tmp_path / "surface.json").write_text(meta.replace('"2015-01-02"', as_of))
         with pytest.raises(ParseError, match="invalid content"):
             read_surface(out)
+    loaded = json.loads(meta)
+    for key, value in (("failures", "abc"), ("failures", [1, 2]), ("failures", None), ("method", 5)):
+        (tmp_path / "surface.json").write_text(json.dumps({**loaded, key: value}))
+        with pytest.raises(ParseError, match="invalid content"):
+            read_surface(out)
     (tmp_path / "surface.json").write_bytes(b"\xff\xfe{")
     with pytest.raises(ParseError, match="bad metadata sidecar"):
         read_surface(out)
