@@ -163,6 +163,8 @@ class PredictabilitySurface:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "failures", tuple(self.failures))
+        if not (0.0 < self.spot < math.inf and math.isfinite(self.rate)):
+            raise InputError(f"surface spot must be finite and > 0 and rate finite, got {self.spot} and {self.rate}")
         keys = [(pt.moneyness, pt.tau) for pt in self.points]
         if len(set(keys)) != len(keys):
             raise InputError("surface grid points must be unique in (moneyness, tau)")

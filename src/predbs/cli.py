@@ -232,8 +232,8 @@ def cmd_surface(args) -> None:
         ("points", len(surface)),
         ("method", surface.method),
         ("sigma_annual", est.sigma_annual),
-        ("p_min", min(ps) if ps else ""),
-        ("p_max", max(ps) if ps else ""),
+        ("p_min", min(ps, default=None)),
+        ("p_max", max(ps, default=None)),
         ("clamped_minus_one", counts["at_minus_one"]),
         ("clamped_plus_one", counts["at_plus_one"]),
         ("failures", len(surface.failures)),

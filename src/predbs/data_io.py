@@ -315,16 +315,18 @@ def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
     for key in ("method", "spot", "rate", "points"):
         if key not in meta:
             raise ParseError(f"{what}: metadata lacks {key!r}")
-    if meta["points"] != len(points):
+    if type(meta["points"]) is not int or meta["points"] != len(points):  # a JSON integer: true and 1.0 are not
         raise ParseError(f"{what}: metadata sidecar says {meta['points']!r} points, file has {len(points)} rows")
-    method, failures = meta["method"], meta.get("failures", [])
+    method, spot, rate = meta["method"], meta["spot"], meta["rate"]
+    as_of, failures = meta.get("as_of"), meta.get("failures", [])
     try:
-        if not (isinstance(method, str) and isinstance(failures, list) and all(isinstance(f, str) for f in failures)):
-            raise TypeError(f"method must be a string and failures a list of strings, got {method!r} and {failures!r}")
-        as_of = date.fromisoformat(meta["as_of"]) if meta.get("as_of") else None
+        if not (isinstance(method, str) and {type(spot), type(rate)} <= {int, float}  # JSON numbers: not true or "100"
+                and isinstance(failures, list) and all(isinstance(f, str) for f in failures)):
+            raise TypeError(f"method must be a string, spot and rate numbers and failures a list of strings, "
+                            f"got {method!r}, {spot!r}, {rate!r} and {failures!r}")
         return PredictabilitySurface(
-            method=method, spot=float(meta["spot"]), rate=float(meta["rate"]),
-            as_of=as_of, points=tuple(points), failures=failures,
+            method=method, spot=float(spot), rate=float(rate),
+            as_of=None if as_of is None else date.fromisoformat(as_of), points=tuple(points), failures=failures,
         )
     except (InputError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: invalid content: {exc}") from exc

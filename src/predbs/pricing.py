@@ -20,7 +20,6 @@ __all__ = [
     "PriceResult",
     "norm_cdf",
     "dividend_yield_due_to_predictability",
-    "d_plus_minus",
     "call_price",
     "put_price",
     "dprice_dp",
@@ -100,6 +99,11 @@ class PricingInputs:
 
 @dataclass(frozen=True)
 class PriceResult:
+    """A price with its d_+- = [ln(S e^{-q tau} / (K e^{-r tau})) +- sigma^2 tau / 2] / (sigma sqrt(tau)).
+
+    Without diffusion both take the formula's limit: +inf where S e^{-q tau} > K e^{-r tau}, else -inf.
+    """
+
     price: float
     d_plus: float
     d_minus: float
@@ -117,7 +121,7 @@ def _closed_form(terms: tuple, p: float, w: int = 1) -> tuple[float, float, floa
     """(price, d_+, d_-, dC/dp) at p on Python floats: the one statement of the closed form.
 
     w = +1 prices the call, w = -1 the put: w (S e^{-q tau} Phi(w d_+) - K e^{-r tau} Phi(w d_-)), with
-    d_+- as d_plus_minus states them; without diffusion that is the discounted forward payoff.  Deep
+    d_+- as PriceResult states them; without diffusion that is the discounted forward payoff.  Deep
     out of the money the two terms can cancel to a few ulp below zero, so the price is floored at 0.
     The slope is the call's at either w.  The calibration solve calls this once per iterate.
     """
@@ -132,14 +136,6 @@ def _closed_form(terms: tuple, p: float, w: int = 1) -> tuple[float, float, floa
     phi_plus = norm_cdf(dp)
     price = w * (s * growth * (phi_plus if w == 1 else norm_cdf(-dp)) - disc_strike * norm_cdf(w * dm))
     return price if price > 0.0 else 0.0, dp, dm, neg_var_spot * growth * phi_plus
-
-
-def d_plus_minus(inputs: PricingInputs) -> tuple[float, float]:
-    """d_+- = [ln(S e^{-q tau} / (K e^{-r tau})) +- sigma^2 tau / 2] / (sigma sqrt(tau)).
-
-    Without diffusion both take the formula's limit: +inf where S e^{-q tau} > K e^{-r tau}, else -inf.
-    """
-    return _closed_form(_p_free_terms(inputs), inputs.p)[1:3]
 
 
 def _price(inputs: PricingInputs, w: int) -> PriceResult:
@@ -172,21 +168,17 @@ def dprice_dp(inputs: PricingInputs) -> float:
     return slope
 
 
-def pde_residual(inputs: PricingInputs, pde_p: float | None = None) -> float:
+def pde_residual(inputs: PricingInputs) -> float:
     """Left-hand side of the pricing PDE evaluated with central finite differences.
 
         0 = dC/dt + dC/dx (r - p sigma^2) x - r C + sigma^2 x^2 / 2 * d2C/dx2
 
     Time and spot derivatives come from 5-point central stencils with relative
     bumps (h*tau, h*spot), h = 1e-3, so the residual of the closed form is O(h^4).
-    Passing `pde_p` different from inputs.p is a deliberate mismatch probe:
-    the residual then picks up (p - pde_p) sigma^2 x dC/dx.
     """
     h = 1e-3
     if inputs.tau < 10.0 * h:
         raise InputError(f"tau={inputs.tau} too close to expiry for stable differencing")
-    if pde_p is None:
-        pde_p = inputs.p
 
     s, tau = inputs.spot, inputs.tau
     ht, hs = h * tau, h * s
@@ -204,7 +196,7 @@ def pde_residual(inputs: PricingInputs, pde_p: float | None = None) -> float:
     sig2 = inputs.sigma * inputs.sigma
     return (
         -dc_dtau
-        + dc_ds * (inputs.rate - pde_p * sig2) * s
+        + dc_ds * (inputs.rate - inputs.p * sig2) * s
         - inputs.rate * c0
         + 0.5 * sig2 * s * s * d2c_ds2
     )

@@ -220,10 +220,6 @@ class PathBatch:
     log_return: np.ndarray
     config: PathSimConfig
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.config.s0 * np.exp(self.log_return)
-
     def mean_log_return(self) -> tuple[float, float]:
         """Ensemble mean of ln(S_T / S_0) and its standard error."""
         return _mean_and_se(self.log_return)

@@ -17,7 +17,7 @@ from predbs.calibration import (
 )
 from predbs.data_io import OptionChain, OptionQuote
 from predbs.errors import InputError, QuoteRejectedError
-from predbs.pricing import PricingInputs, call_price, d_plus_minus, dprice_dp, norm_cdf
+from predbs.pricing import PricingInputs, call_price, dprice_dp, norm_cdf
 from predbs.volatility import VolEstimate
 
 
@@ -243,7 +243,8 @@ def pricer_rounding(inputs):
     """
     s, k, tau, r, sigma = inputs.spot, inputs.strike, inputs.tau, inputs.rate, inputs.sigma
     q = inputs.dividend_yield
-    dp, dm = d_plus_minus(inputs)
+    result = call_price(inputs)
+    dp, dm = result.d_plus, result.d_minus
     a = s * math.exp(-q * tau) * norm_cdf(dp)
     b = k * math.exp(-r * tau) * norm_cdf(dm)
     big_d = (abs(math.log(s) - math.log(k)) + abs((r - q) * tau) + 0.5 * sigma * sigma * tau) / (sigma * math.sqrt(tau))
@@ -561,3 +562,10 @@ def test_surface_grid_uniqueness_enforced():
     with pytest.raises(InputError):
         PredictabilitySurface(method="realized", spot=100.0, rate=0.02,
                               as_of=date(2015, 1, 2), points=(pt, pt))
+
+
+@pytest.mark.parametrize("spot, rate", [(math.nan, 0.02), (-5.0, 0.02), (0.0, 0.02), (math.inf, 0.02),
+                                        (100.0, math.inf), (100.0, math.nan)])
+def test_surface_refuses_a_spot_or_rate_outside_its_domain(spot, rate):
+    with pytest.raises(InputError, match="surface spot must be finite and > 0 and rate finite"):
+        PredictabilitySurface(method="realized", spot=spot, rate=rate, as_of=None, points=())

@@ -359,7 +359,7 @@ def test_surface_read_requires_sidecar(tmp_path):
 
 def test_surface_read_rejects_bad_sidecar(tmp_path):
     rng = np.random.default_rng(36)
-    surface = random_surface(rng, n=2)
+    surface = random_surface(rng, n=1)  # one point: "points": true and 1.0 would pass a loose count
     out = tmp_path / "surface.csv"
     write_surface(surface, out)
     (tmp_path / "surface.json").write_text("{not json")
@@ -379,9 +379,12 @@ def test_surface_read_rejects_bad_sidecar(tmp_path):
         with pytest.raises(ParseError, match="invalid content"):
             read_surface(out)
     loaded = json.loads(meta)
-    for key, value in (("failures", "abc"), ("failures", [1, 2]), ("failures", None), ("method", 5)):
+    for key, value in (("failures", "abc"), ("failures", [1, 2]), ("failures", None), ("method", 5),
+                       ("spot", math.nan), ("spot", -5.0), ("spot", True), ("spot", "100"),
+                       ("rate", math.inf), ("rate", False), ("points", True), ("points", 1.0),
+                       ("as_of", False), ("as_of", 0), ("as_of", "")):
         (tmp_path / "surface.json").write_text(json.dumps({**loaded, key: value}))
-        with pytest.raises(ParseError, match="invalid content"):
+        with pytest.raises(ParseError, match="invalid content|metadata sidecar says"):
             read_surface(out)
     (tmp_path / "surface.json").write_bytes(b"\xff\xfe{")
     with pytest.raises(ParseError, match="bad metadata sidecar"):

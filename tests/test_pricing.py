@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from predbs import pricing
 from predbs.errors import InputError
 from predbs.pricing import (
     PricingInputs,
     _closed_form,
     _p_free_terms,
     call_price,
-    d_plus_minus,
     dividend_yield_due_to_predictability,
     dprice_dp,
     norm_cdf,
@@ -112,36 +113,57 @@ def test_dividend_yield_rejects_out_of_range_p():
 
 # ------------------------------------------------------------------ d+-
 
-def test_d_plus_minus_symmetric_point():
+def d_pair(inputs):
+    result = call_price(inputs)
+    return result.d_plus, result.d_minus
+
+
+def test_price_result_d_symmetric_point():
     # S = K and q = r kill the log term: d_+- = +- sigma sqrt(tau) / 2
     inputs = PricingInputs(spot=100, strike=100, tau=1.0, rate=0.02, sigma=0.2, p=0.5)
-    dp, dm = d_plus_minus(inputs)
+    dp, dm = d_pair(inputs)
     assert dp == pytest.approx(0.1, abs=1e-15)
     assert dm == pytest.approx(-0.1, abs=1e-15)
 
 
-def test_d_plus_minus_classical_reduction():
+def test_price_result_d_classical_reduction():
     inputs = PricingInputs(spot=110, strike=95, tau=0.7, rate=0.03, sigma=0.25, p=0.0)
-    dp, dm = d_plus_minus(inputs)
+    dp, dm = d_pair(inputs)
     expect_dp = (math.log(110 / 95) + (0.03 + 0.5 * 0.25**2) * 0.7) / (0.25 * math.sqrt(0.7))
     assert dp == pytest.approx(expect_dp, rel=1e-14)
     assert dp - dm == pytest.approx(0.25 * math.sqrt(0.7), rel=1e-14)
 
 
-def test_d_plus_minus_market_point():
+def test_price_result_d_market_point():
     # frozen from an independent long-hand evaluation of the displayed formula
     inputs = PricingInputs(spot=206.38, strike=200.0, tau=0.25, rate=0.0212, sigma=0.15, p=0.5)
-    dp, dm = d_plus_minus(inputs)
+    dp, dm = d_pair(inputs)
     assert dp == pytest.approx(0.48935684186042133, abs=1e-12)
     assert dm == pytest.approx(0.4143568418604213, abs=1e-12)
 
 
-def test_d_plus_minus_degenerate():
+def test_price_result_d_degenerate():
     # without diffusion both d's are the formula's limit, +inf only where the forward gap is positive
     at_the_money = PricingInputs(spot=100, strike=100, tau=1.0, rate=0.0, sigma=0.0, p=0.0)
-    assert d_plus_minus(at_the_money) == (-math.inf, -math.inf)
-    assert d_plus_minus(PricingInputs(spot=120, strike=100, tau=0.0, rate=0.05, sigma=0.2)) == (math.inf, math.inf)
-    assert d_plus_minus(PricingInputs(spot=80, strike=100, tau=1.0, rate=0.05, sigma=0.0)) == (-math.inf, -math.inf)
+    assert d_pair(at_the_money) == (-math.inf, -math.inf)
+    assert d_pair(PricingInputs(spot=120, strike=100, tau=0.0, rate=0.05, sigma=0.2)) == (math.inf, math.inf)
+    assert d_pair(PricingInputs(spot=80, strike=100, tau=1.0, rate=0.05, sigma=0.0)) == (-math.inf, -math.inf)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    spot=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    moneyness=st.one_of(st.floats(0.5, 2.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+    tau=st.one_of(st.just(0.0), st.floats(1 / 365, 2.0)),
+    rate=st.floats(-0.01, 0.1),
+    sigma=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    p=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+)
+def test_put_and_call_report_the_same_d(spot, moneyness, tau, rate, sigma, p):
+    # PriceResult is the one public source of d_+-: the put's are the call's bit for bit, +-inf without diffusion
+    inputs = PricingInputs(spot=spot, strike=spot / moneyness, tau=tau, rate=rate, sigma=sigma, p=p)
+    call, put = call_price(inputs), put_price(inputs)
+    assert (put.d_plus.hex(), put.d_minus.hex()) == (call.d_plus.hex(), call.d_minus.hex())
 
 
 # ----------------------------------------------------------- call price
@@ -355,7 +377,7 @@ def test_extreme_moneyness_prices(spot, strike):
     # spot / strike under- or overflows to 0 or inf; ln S - ln K does not
     inputs = PricingInputs(spot=spot, strike=strike, tau=1.0, rate=0.05, sigma=0.2, p=0.3)
     log_m = math.log(spot) - math.log(strike)
-    d_plus, d_minus = d_plus_minus(inputs)
+    d_plus, d_minus = d_pair(inputs)
     assert d_plus == pytest.approx((log_m + (0.05 - 0.012) + 0.02) / 0.2, rel=1e-15)
     assert d_minus == pytest.approx((log_m + (0.05 - 0.012) - 0.02) / 0.2, rel=1e-15)
     fwd_spot, fwd_strike = spot * math.exp(-0.012), strike * math.exp(-0.05)
@@ -432,10 +454,12 @@ def test_pde_residual_grid():
             assert abs(pde_residual(inputs)) <= 1e-6
 
 
-def test_pde_residual_detects_mismatched_p():
+def test_pde_residual_detects_mismatched_p(monkeypatch):
+    # a pricer at p = 0.7 checked against the p = 0.3 equation leaves (0.7 - 0.3) sigma^2 x dC/dx behind
     inputs = PricingInputs(spot=100, strike=100, tau=0.5, rate=0.05, sigma=0.2, p=0.3)
     matched = abs(pde_residual(inputs))
-    mismatched = abs(pde_residual(inputs, pde_p=0.7))
+    monkeypatch.setattr(pricing, "call_price", lambda i: call_price(replace(i, p=0.7)))
+    mismatched = abs(pde_residual(inputs))
     assert mismatched > 1e3 * max(matched, 1e-12)
 
 

@@ -269,15 +269,15 @@ def test_ito_gbm_deterministic_limit():
     cfg = PathSimConfig(mu=0.05, sigma=0.0, alpha=0.0, s0=100.0, horizon=1.0,
                         steps=16, paths=50, seed=3)
     batch = simulate_stratonovich_alpha(cfg)
-    assert np.allclose(batch.terminal, 100.0 * math.exp(0.05), rtol=1e-12)
+    assert np.allclose(cfg.s0 * np.exp(batch.log_return), 100.0 * math.exp(0.05), rtol=1e-12)
 
 
 def test_ito_gbm_martingale_when_driftless():
     cfg = PathSimConfig(mu=0.0, sigma=0.3, alpha=0.0, s0=100.0, horizon=1.0,
                         steps=64, paths=100_000, seed=11)
-    batch = simulate_stratonovich_alpha(cfg)
-    se = batch.terminal.std(ddof=1) / math.sqrt(cfg.paths)
-    assert abs(batch.terminal.mean() - 100.0) < 3.0 * se
+    terminal = cfg.s0 * np.exp(simulate_stratonovich_alpha(cfg).log_return)
+    se = terminal.std(ddof=1) / math.sqrt(cfg.paths)
+    assert abs(terminal.mean() - 100.0) < 3.0 * se
 
 
 def test_ito_gbm_log_mean():
@@ -296,7 +296,7 @@ def test_alpha_sim_is_the_log_exact_scheme(alpha):
     dt = 0.5 / 32
     z = np.random.Generator(np.random.Philox(key=23)).standard_normal((2000, 32))
     expected = 50.0 * np.exp(np.sum(cfg.log_drift * dt + 0.25 * math.sqrt(dt) * z, axis=1))
-    assert np.array_equal(simulate_stratonovich_alpha(cfg).terminal, expected)
+    assert np.array_equal(cfg.s0 * np.exp(simulate_stratonovich_alpha(cfg).log_return), expected)
 
 
 @pytest.mark.parametrize("steps, paths", [   # the simulator draws blocks of 2^16 // steps rows
@@ -403,10 +403,10 @@ def test_drift_regression_recovers_sigma_squared():
 def test_batch_reproducible_and_positive():
     cfg = PathSimConfig(mu=0.05, sigma=0.4, alpha=0.3, s0=10.0, horizon=2.0,
                         steps=128, paths=5000, seed=77)
-    a = simulate_stratonovich_alpha(cfg)
-    b = simulate_stratonovich_alpha(cfg)
-    assert np.array_equal(a.terminal, b.terminal)
-    assert np.all(a.terminal > 0)
+    a = cfg.s0 * np.exp(simulate_stratonovich_alpha(cfg).log_return)
+    b = cfg.s0 * np.exp(simulate_stratonovich_alpha(cfg).log_return)
+    assert np.array_equal(a, b)
+    assert np.all(a > 0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 128])
@@ -443,7 +443,7 @@ def test_mc_call_is_the_simulator_at_one_step(s0, strike, tau, rate, sigma, p):
     q = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p).dividend_yield
     cfg = PathSimConfig(mu=0.0, sigma=sigma, alpha=0.0, s0=s0 * math.exp((rate - q) * tau), horizon=tau,
                         steps=1, paths=500, seed=7)
-    payoff = np.maximum(simulate_stratonovich_alpha(cfg).terminal - strike, 0.0)
+    payoff = np.maximum(cfg.s0 * np.exp(simulate_stratonovich_alpha(cfg).log_return) - strike, 0.0)
     disc = math.exp(-rate * tau)
     assert est.price == disc * float(np.mean(payoff))
     assert est.std_error == disc * float(np.std(payoff, ddof=1) / math.sqrt(500))
@@ -451,7 +451,7 @@ def test_mc_call_is_the_simulator_at_one_step(s0, strike, tau, rate, sigma, p):
 
 def test_mc_call_memory_is_the_one_batch():
     # the payoff is formed in place over the simulator's log_return (7.6 MiB at 1M paths); a second
-    # paths-long array, such as PathBatch.terminal, would bring the peak past 15 MiB
+    # paths-long array, such as the terminal prices s0 e^{log_return}, would bring the peak past 15 MiB
     mc_risk_neutral_call(100.0, 100.0, 1.0, 0.05, 0.2, 0.0, paths=10)  # first-call allocations are not the pricer's
     tracemalloc.start()
     try:
