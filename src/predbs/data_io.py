@@ -2,8 +2,8 @@
 
 Parsers are total: any byte stream either yields a validated value or raises
 ParseError / DataQualityError with a line-level message, never an unrelated
-exception.  A message's "line N" counts CSV records, the header being line 1,
-not physical lines: a quoted cell that spans lines shifts every later number.
+exception.  A message's "line N" is the physical line its record starts on,
+the header being line 1, so a quoted cell may span lines.
 Dirty rows are skipped with a diagnostic (real chain downloads are dirty);
 files where more than half the rows fail are rejected outright.
 Floats are serialized with 17 significant digits, by the row formats
@@ -103,12 +103,13 @@ class OptionChain:
         return len(self.quotes)
 
 
-def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV source into its header and its rows as the reader gives them: row i, [] if blank, is line i + 2.
+def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """Read a CSV source into its header, its non-blank rows and the physical line each of those rows starts on.
 
     Paths are opened and closed here; byte streams are decoded as UTF-8 and,
-    like text streams, left open.  Header cells are stripped of whitespace
-    and a leading byte-order mark.
+    like text streams, left open.  Paths and byte streams end a line at LF,
+    CRLF or a bare CR; a text stream's lines are those it yields.  Header
+    cells are stripped of a leading byte-order mark, then of whitespace.
     """
     should_close = isinstance(source, (str, Path))
     if should_close:
@@ -125,7 +126,13 @@ def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]]]:
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{what}: file is empty")
-        rows = list(reader)
+        rows, lines = [], []
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{what}: unreadable content: {exc}") from exc
     finally:
@@ -133,7 +140,7 @@ def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]]]:
             fh.close()
         elif fh is not source:
             fh.detach()  # a dropped wrapper would close the caller's byte stream
-    return [h.strip().lstrip("\ufeff") for h in header], rows
+    return [h.lstrip("\ufeff").strip() for h in header], rows, lines
 
 
 def _column_index(header: list[str], expected: list[str], what: str) -> tuple[dict[str, int], int]:
@@ -168,14 +175,13 @@ def parse_option_chain(source: Source, spot: float) -> OptionChain:
     a DataQualityError.
     """
     what = "option chain"
-    header, rows = _read_csv(source, what)
-    rows = list(filter(itemgetter(1), enumerate(rows, start=2)))  # the non-blank rows, numbered by line
+    header, rows, lines = _read_csv(source, what)
     idx, width = _column_index(header, CHAIN_HEADER, what)
     fields = itemgetter(*map(idx.__getitem__, CHAIN_HEADER))
     quotes: list[OptionQuote] = []
     skipped: list[str] = []
     chain_date: Optional[date] = None
-    for line_no, row in rows:
+    for line_no, row in zip(lines, rows):
         try:
             if len(row) < width:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
@@ -205,14 +211,13 @@ def parse_option_chain(source: Source, spot: float) -> OptionChain:
 def parse_return_series(source: Source) -> ReturnSeries:
     """Parse a returns CSV: header date,log_return, or date,close (auto log-differenced)."""
     what = "return series"
-    header, rows = _read_csv(source, what)
+    header, rows, lines = _read_csv(source, what)
     closes = header[:2] == ["date", "close"]
     if not closes and header[:2] != ["date", "log_return"]:
         raise ParseError(f"{what}: header must be date,log_return or date,close, got {header}")
-    data = list(filter(None, rows))
     try:  # by column: any fault sends the parse to the walk below, which raises the first faulty line's error
-        dates = list(map(date.fromisoformat, map(str.strip, map(itemgetter(0), data))))
-        values = list(map(float, map(itemgetter(1), data)))
+        dates = list(map(date.fromisoformat, map(str.strip, map(itemgetter(0), rows))))
+        values = list(map(float, map(itemgetter(1), rows)))
         if not closes:
             return ReturnSeries(dates=tuple(dates), returns=values)
         if len(values) >= 3 and dates[0] < dates[1] and min(values) > 0:  # what a series of log-ratios cannot check
@@ -220,7 +225,7 @@ def parse_return_series(source: Source) -> ReturnSeries:
     except (IndexError, ValueError) as exc:  # InputError is a ValueError, as is _log_ratio's domain error
         fault = exc
     last = None
-    for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
+    for line_no, row in zip(lines, rows):
         try:
             if len(row) < 2:
                 raise ValueError(f"expected 2 fields, got {len(row)}")
@@ -277,21 +282,20 @@ def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> Non
 def read_surface(path: Union[str, Path]) -> PredictabilitySurface:
     """Read back a surface written by write_surface; unknown extra columns are ignored."""
     what = "surface"
-    header, rows = _read_csv(path, what)
+    header, rows, lines = _read_csv(path, what)
     idx, width = _column_index(header, SURFACE_HEADER, what)
     extra = [col for col in header if col not in SURFACE_HEADER]
     if extra:
         warnings.warn(f"{what} {path}: ignoring unknown columns {extra}", stacklevel=2)
-    data = list(filter(None, rows))
     def column(col: str) -> Iterator:
-        cells = map(itemgetter(idx[col]), data)
+        cells = map(itemgetter(idx[col]), rows)
         return map(_CLAMP_FLAGS.__getitem__, map(str.strip, cells)) if col == "clamped" else map(float, cells)
     try:  # by column: any fault sends the parse to the walk below, which raises the first faulty line's error
         points = list(map(CalibrationPoint, *map(column, SURFACE_HEADER)))
     except (IndexError, KeyError, ValueError):  # InputError is a ValueError
         points = []
     if not points:  # a fault, or no rows: the walk reads every line
-        for line_no, row in filter(itemgetter(1), enumerate(rows, start=2)):
+        for line_no, row in zip(lines, rows):
             try:
                 if len(row) < width:
                     raise ValueError(f"expected {width} fields, got {len(row)}")

@@ -119,23 +119,6 @@ class BrownianPath:
         values = np.concatenate([[0.0], np.cumsum(inc)])
         return cls(times, values)
 
-    @classmethod
-    def from_csv(cls, path) -> "BrownianPath":
-        """Load a fixture path from CSV with header ``t,B``."""
-        try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot load Brownian path from {path}: {exc}") from exc
-        if rows.shape[1] < 2:
-            raise InputError(f"{path}: expected two columns t,B")
-        return cls(rows[:, 0], rows[:, 1])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,B\n")
-            for t, b in zip(self.times, self.values):
-                fh.write(f"{t:.17g},{b:.17g}\n")
-
     def subsample(self, steps: int) -> "BrownianPath":
         """Coarsen to `steps` intervals (must divide the native step count)."""
         native = self.times.size - 1

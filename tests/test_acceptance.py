@@ -20,7 +20,6 @@ from predbs.data_io import OptionChain, OptionQuote, parse_option_chain, parse_r
 from predbs.errors import ParseError
 from predbs.pricing import PricingInputs, call_price, pde_residual
 from predbs.sde import (
-    BrownianPath,
     IntegrandPath,
     PathSimConfig,
     ito_integral,
@@ -128,12 +127,11 @@ def test_criterion_04_drift_correction_regression():
             f"slope={slope} target={sigma**2 * horizon} se={slope_se}"
 
 
-def test_criterion_05_alpha_integral_identity(brownian_fixture_files):
+def test_criterion_05_alpha_integral_identity(brownian_paths):
     with report(5, "alpha-integral identity: error order >= 0.5 under grid refinement", 5.0):
-        assert brownian_fixture_files, "committed Brownian fixtures missing"
+        assert brownian_paths, "committed Brownian fixtures missing"
         theta_fn = lambda t: np.sin(2.0 * np.pi * t)
-        for file in brownian_fixture_files:
-            fine = BrownianPath.from_csv(file)
+        for name, fine in brownian_paths.items():
             for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
                 errs = []
                 for steps in (64, 256, 1024):  # dt = 1/64, 1/256, 1/1024
@@ -145,10 +143,10 @@ def test_criterion_05_alpha_integral_identity(brownian_fixture_files):
                     errs.append(abs(lhs - rhs))
                 if max(errs) < 1e-13:
                     continue  # alpha in {0, 1/2}: the combination is exact
-                assert errs[0] > errs[1] > errs[2], (file.name, alpha, errs)
+                assert errs[0] > errs[1] > errs[2], (name, alpha, errs)
                 for e_coarse, e_fine in zip(errs, errs[1:]):
                     order = math.log(e_coarse / e_fine) / math.log(4.0)
-                    assert order >= 0.5, (file.name, alpha, errs, order)
+                    assert order >= 0.5, (name, alpha, errs, order)
 
 
 def test_criterion_06_calibration_round_trip():

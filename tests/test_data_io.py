@@ -167,6 +167,21 @@ def test_parse_chain_skip_message_of_each_dirty_row_kind(row, message):
     assert chain.skipped == (f"option chain line 5: {message}",)
 
 
+# the line endings a path or byte stream may use; a quoted cell holds them too
+_EOLS = pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+
+
+@_EOLS
+def test_parse_chain_names_the_physical_line_a_row_starts_on(eol):
+    # the first row's quoted right spans lines 2 and 3, so the bad strike, the chain's fifth record, is on line 6
+    rows = ['2015-01-02,2015-03-20,200,"call' + eol + '",10.0,10.5', "2015-01-02,2015-03-20,210,call,4.8,5.0",
+            "2015-01-02,2015-03-20,220,call,2.0,2.2", "2015-01-02,2015-03-20,bad,call,1,2"]
+    text = eol.join(["quote_date,expiry,strike,right,bid,ask", *rows]) + eol
+    chain = parse_option_chain(io.BytesIO(text.encode()), spot=206.38)
+    assert len(chain) == 3
+    assert chain.skipped == ("option chain line 6: bad number 'bad'",)
+
+
 def test_option_quote_validation():
     qd, ed = date(2015, 1, 2), date(2015, 3, 20)
     with pytest.raises(InputError):
@@ -239,6 +254,14 @@ def test_parse_returns_counts_blank_lines_in_a_bad_rows_line_number():
         parse_return_series(io.StringIO(text))
 
 
+@_EOLS
+def test_parse_returns_names_the_physical_line_a_row_starts_on(eol):
+    # the second row's quoted date spans lines 3 to 5 and line 6 is blank: the nan, the fifth record, is on line 7
+    text = eol.join(["date,log_return", "2015-01-02,0.01", '"2015-01-05' + eol * 2 + '",0.02', "", "2015-01-06,nan"])
+    with pytest.raises(ParseError, match=r"^return series line 7: non-finite value 'nan'$"):
+        parse_return_series(io.BytesIO((text + eol).encode()))
+
+
 @pytest.mark.parametrize("header, rows, message", [
     ("log_return", ["2015-01-05,0.01", "2015-01-02,0.02", "2015-01-06,x"],
      "line 3: dates not strictly ascending at 2015-01-02"),
@@ -257,6 +280,14 @@ def test_parse_returns_reports_the_first_faulty_line(header, rows, message):
     # two faults of different kinds: the message is the earlier line's, whichever kind a column meets first
     with pytest.raises(ParseError, match=f"^return series {re.escape(message)}$"):
         parse_return_series(io.StringIO("\n".join([f"date,{header}", *rows]) + "\n"))
+
+
+@pytest.mark.parametrize("lead", ["", " ", "\ufeff", "\ufeff "], ids=["bare", "space", "bom", "bom_space"])
+def test_parsers_strip_a_byte_order_mark_then_whitespace_from_a_header_cell(lead):
+    chain = parse_option_chain(io.StringIO(lead + chain_text(["2015-01-02,2015-03-20,200,call,10.0,10.5"])), spot=100)
+    assert len(chain) == 1
+    series = parse_return_series(io.StringIO(lead + "date,log_return\n2015-01-02,0.01\n2015-01-05,-0.02\n"))
+    assert series.returns.tolist() == [0.01, -0.02]
 
 
 def test_parse_returns_bad_header():
@@ -464,6 +495,17 @@ def test_surface_read_reports_the_first_faulty_line(tmp_path, rows, message):
     out.write_text("\n".join([",".join(SURFACE_HEADER), *rows]) + "\n")
     (tmp_path / "surface.json").write_text(json.dumps({"method": "vix", "spot": 1.0, "rate": 0.0, "points": 9}))
     with pytest.raises(ParseError, match=f"^surface {re.escape(message)}$"):
+        read_surface(out)
+
+
+@_EOLS
+def test_surface_read_names_the_physical_line_a_row_starts_on(tmp_path, eol):
+    # the second row's quoted moneyness spans lines 3 and 4, so the bad p, the fourth record, is on line 5
+    rows = [_ROW, '"1.5' + eol + '",0.25,0.5,none,4,4,0', "1.75,0.25,x,none,4,4,0"]
+    out = tmp_path / "surface.csv"
+    out.write_bytes((eol.join([",".join(SURFACE_HEADER), *rows]) + eol).encode())
+    (tmp_path / "surface.json").write_text(json.dumps({"method": "vix", "spot": 1.0, "rate": 0.0, "points": 3}))
+    with pytest.raises(ParseError, match=r"^surface line 5: bad number 'x'$"):
         read_surface(out)
 
 
@@ -716,3 +758,57 @@ def test_parsers_total_on_arbitrary_files(files):
                     read()
             except PredbsError:
                 pass
+
+
+# a valid row of each reader's file, and the numeric column a spoiled row holds "x" in
+_VALID_ROWS = {
+    "option chain": (CHAIN_HEADER, lambda i: ["2015-01-02", "2015-03-20", str(100 + i), "call", "1.0", "1.5"], "strike"),
+    "return series": (["date", "log_return"], lambda i: [(date(2015, 1, 2) + timedelta(days=i)).isoformat(), "0.01"],
+                      "log_return"),
+    "surface": (SURFACE_HEADER, lambda i: _ROW.split(","), "p"),
+}
+
+
+@st.composite
+def _files_with_one_spoiled_row(draw):
+    """A chain, returns or surface file written row by row, and the physical line its spoiled row starts on.
+
+    Any cell, the header's too, may be quoted around line breaks, which every reader strips from a cell, and
+    blank lines may come before a row; the line count is kept here, without the csv module."""
+    kind = draw(st.sampled_from(sorted(_VALID_ROWS)))
+    header, valid_row, spoiled_column = _VALID_ROWS[kind]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    n = draw(st.integers(2, 6))
+    spoiled = draw(st.integers(0, n - 1))
+    breaks = st.integers(0, 2)
+
+    def cell(text):
+        before, after = draw(breaks), draw(breaks)
+        return (f'"{eol * before}{text}{eol * after}"' if before + after else text), before + after
+
+    records, line = [], 1
+    for i in range(-1, n):  # the header, then the rows
+        blanks = draw(st.integers(0, 2)) if i >= 0 else 0
+        records += [""] * blanks
+        line += blanks
+        if i == spoiled:
+            start = line
+        texts = header if i < 0 else valid_row(i)
+        cells = [("x", 0) if i == spoiled and name == spoiled_column else cell(text) for name, text in zip(header, texts)]
+        records.append(",".join(text for text, _ in cells))
+        line += 1 + sum(n_breaks for _, n_breaks in cells)
+    return kind, (eol.join(records) + eol).encode(), start
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_files_with_one_spoiled_row())
+def test_every_reader_names_the_physical_line_a_row_starts_on(case):
+    kind, content, start = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(content)
+        if kind == "option chain":
+            assert parse_option_chain(path, spot=100.0).skipped == (f"option chain line {start}: bad number 'x'",)
+        else:
+            with pytest.raises(ParseError, match=f"^{kind} line {start}: bad number 'x'$"):
+                (read_surface if kind == "surface" else parse_return_series)(path)

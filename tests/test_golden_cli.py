@@ -8,7 +8,9 @@ and the bytes of every file the case leaves in that directory.
 Inputs are the chain fixture and tests/fixtures/golden/returns.csv, written
 once from `simulate_ar_garch`; closes.csv (its closes from 100) and
 returns_blank_nan.csv (it with a blank line and a later nan) are written
-once from returns.csv.  After a change that is meant to alter CLI
+once from returns.csv.  returns_multiline.csv, written by hand, holds a
+quoted cell that spans two lines before a nan on physical line 6, its fifth
+record.  After a change that is meant to alter CLI
 output, regenerate the record with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -35,6 +37,7 @@ RECORD = GOLDEN / "cli_outputs.json"
 RETURNS = GOLDEN / "returns.csv"
 CLOSES = GOLDEN / "closes.csv"
 DIRTY_RETURNS = GOLDEN / "returns_blank_nan.csv"
+MULTILINE_RETURNS = GOLDEN / "returns_multiline.csv"
 CHAIN = FIXTURES / "chain_2015_mimic.csv"
 
 PRICE = ["price", "--spot", "206.38", "--strike", "200", "--tau", "0.25",
@@ -95,11 +98,13 @@ CASES: dict[str, list[list[str]]] = {
     "surface_out_json": [SURF + ["--method", "vix", "--vix", "15", "--out", "s.json"]],
     "vol_garch_closes_table": [["vol", "--method", "garch", "--returns", "{closes}"]],
     "vrp_returns_blank_then_nan": [["vrp", "--vix", "25", "--returns", "{dirty_returns}"]],
+    "vol_historical_multiline_then_nan": [["vol", "--method", "historical", "--returns", "{multiline_returns}"]],
 }
 
 
 def _expand(argv: list[str]) -> list[str]:
-    return [a.format(chain=CHAIN, returns=RETURNS, closes=CLOSES, dirty_returns=DIRTY_RETURNS) for a in argv]
+    return [a.format(chain=CHAIN, returns=RETURNS, closes=CLOSES, dirty_returns=DIRTY_RETURNS,
+                     multiline_returns=MULTILINE_RETURNS) for a in argv]
 
 
 def _invoke(argv: list[str]) -> dict:

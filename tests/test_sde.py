@@ -22,13 +22,13 @@ from predbs.pricing import PricingInputs, call_price
 
 
 @pytest.fixture(scope="module")
-def fixture_path(brownian_fixture_files):
-    return BrownianPath.from_csv(brownian_fixture_files[-1])  # seed 7
+def fixture_path(brownian_paths):
+    return brownian_paths["brownian_T1_4096_seed7.csv"]
 
 
 # ---------------------------------------------------------------- paths
 
-def test_brownian_path_validation(tmp_path):
+def test_brownian_path_validation():
     with pytest.raises(InputError):
         BrownianPath(times=[0.0, 0.5, 0.7], values=[0.0, 0.1, 0.2])  # non-uniform
     with pytest.raises(InputError):
@@ -43,11 +43,6 @@ def test_brownian_path_validation(tmp_path):
     for steps, horizon in ((0, 1.0), (4, 0.0)):
         with pytest.raises(InputError, match="steps must be >= 1 and horizon > 0"):
             BrownianPath.sample(steps=steps, horizon=horizon, seed=1)
-    with pytest.raises(InputError, match="cannot load Brownian path"):
-        BrownianPath.from_csv(tmp_path / "missing.csv")
-    (tmp_path / "one_column.csv").write_text("t\n0.0\n0.5\n", encoding="utf-8")
-    with pytest.raises(InputError, match="expected two columns t,B"):
-        BrownianPath.from_csv(tmp_path / "one_column.csv")
 
 
 def test_brownian_sample_reproducible():
@@ -56,15 +51,6 @@ def test_brownian_sample_reproducible():
     assert np.array_equal(a.values, b.values)
     assert a.values[0] == 0.0
     assert a.dt == pytest.approx(1.0 / 128)
-
-
-def test_brownian_csv_round_trip(tmp_path):
-    path = BrownianPath.sample(steps=64, horizon=2.0, seed=9)
-    f = tmp_path / "b.csv"
-    path.to_csv(f)
-    back = BrownianPath.from_csv(f)
-    assert np.array_equal(back.times, path.times)
-    assert np.array_equal(back.values, path.values)
 
 
 def test_subsample_divisibility(fixture_path):
