@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -23,7 +23,6 @@ __all__ = [
     "call_price",
     "put_price",
     "dprice_dp",
-    "pde_residual",
 ]
 
 DAYS_PER_YEAR = 365.0  # calendar-day convention: tau = days / 365, sigma_annual = sigma_daily sqrt(365)
@@ -166,37 +165,3 @@ def dprice_dp(inputs: PricingInputs) -> float:
     if slope == -math.inf:
         raise InputError("dC/dp overflows the float range")
     return slope
-
-
-def pde_residual(inputs: PricingInputs) -> float:
-    """Left-hand side of the pricing PDE evaluated with central finite differences.
-
-        0 = dC/dt + dC/dx (r - p sigma^2) x - r C + sigma^2 x^2 / 2 * d2C/dx2
-
-    Time and spot derivatives come from 5-point central stencils with relative
-    bumps (h*tau, h*spot), h = 1e-3, so the residual of the closed form is O(h^4).
-    """
-    h = 1e-3
-    if inputs.tau < 10.0 * h:
-        raise InputError(f"tau={inputs.tau} too close to expiry for stable differencing")
-
-    s, tau = inputs.spot, inputs.tau
-    ht, hs = h * tau, h * s
-
-    def at(spot_x: float, tau_x: float) -> float:
-        return call_price(replace(inputs, spot=spot_x, tau=tau_x)).price
-
-    c0 = at(s, tau)
-    # dC/dt = -dC/dtau
-    dc_dtau = (-at(s, tau + 2 * ht) + 8 * at(s, tau + ht) - 8 * at(s, tau - ht) + at(s, tau - 2 * ht)) / (12 * ht)
-    f2p, f1p, f1m, f2m = at(s + 2 * hs, tau), at(s + hs, tau), at(s - hs, tau), at(s - 2 * hs, tau)
-    dc_ds = (-f2p + 8 * f1p - 8 * f1m + f2m) / (12 * hs)
-    d2c_ds2 = (-f2p + 16 * f1p - 30 * c0 + 16 * f1m - f2m) / (12 * hs * hs)
-
-    sig2 = inputs.sigma * inputs.sigma
-    return (
-        -dc_dtau
-        + dc_ds * (inputs.rate - inputs.p * sig2) * s
-        - inputs.rate * c0
-        + 0.5 * sig2 * s * s * d2c_ds2
-    )

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import EstimationError, InputError
 from .pricing import DAYS_PER_YEAR
-from .sde import _Numpy, _philox
+from .sde import _Numpy
 
 __all__ = [
     "VOL_METHODS",
@@ -36,9 +36,7 @@ __all__ = [
     "realized_vol",
     "vix_to_sigma",
     "fit_ar_garch",
-    "garch_log_likelihood",
     "garch_forecast_vol",
-    "simulate_ar_garch",
     "variance_risk_premium",
 ]
 
@@ -171,10 +169,6 @@ class GarchParams:
         if not _admissible(self.omega, self.alpha1, self.beta1, self.nu):
             raise InputError("GARCH parameters need omega > 0, alpha1 and beta1 >= 0, "
                              "alpha1 + beta1 < 1 (covariance stationarity) and nu > 2 (finite variance)")
-
-    @property
-    def unconditional_variance(self) -> float:
-        return self.omega / (1.0 - self.alpha1 - self.beta1)
 
     def _vector(self) -> np.ndarray:
         return np.array([self.mean, self.ar1, self.omega, self.alpha1, self.beta1, 1.0 / self.nu])
@@ -362,7 +356,7 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  It
     reads the value at every point and the gradient only where it asks for one, formed from the buffers of the value
     at that point.  A fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is
-    garch_log_likelihood at the returned parameters."""
+    evaluated at the returned parameters on the unscaled returns."""
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
     u, e = _in_units(series.returns)
@@ -395,20 +389,10 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     mu0, phi, omega, a1, b1, eta = seen[1] * np.array([sd, 1.0, var, 1.0, 1.0, 1.0])  # back to returns
     params = GarchParams(ar1=float(phi), mean=float(mu0), omega=float(omega),
                          alpha1=float(a1), beta1=float(b1), nu=float(1.0 / eta) if eta > 0 else math.inf)
-    return replace(params, log_likelihood=_log_likelihood(params, series, workspace))
-
-
-def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
-    """Student-t conditional log-likelihood of the daily log-returns `series` under `params`."""
-    return _log_likelihood(params, series, _Workspace(len(series)))
-
-
-def _log_likelihood(params: GarchParams, series: ReturnSeries, workspace: _Workspace) -> float:
-    """garch_log_likelihood, evaluated in `workspace`."""
     nll = workspace.value(params._vector(), series.returns)
     if nll == _PENALTY:
         raise InputError("likelihood undefined: sigma^2 path is not finite and positive for this series")
-    return float(-nll)
+    return replace(params, log_likelihood=float(-nll))
 
 
 def garch_forecast_vol(params: GarchParams, series: ReturnSeries) -> VolEstimate:
@@ -418,33 +402,6 @@ def garch_forecast_vol(params: GarchParams, series: ReturnSeries) -> VolEstimate
     if not math.isfinite(s2_next) or s2_next <= 0:
         raise InputError("forecast variance is not positive; params invalid for this series")
     return VolEstimate.from_daily("garch", math.sqrt(s2_next), len(series), series.as_of)
-
-
-def simulate_ar_garch(params: GarchParams, n: int, seed: int, start: Optional[date] = None) -> ReturnSeries:
-    """Simulate the AR-GARCH process from its stationary level (oracle for re-estimation tests).
-
-    The first 500 draws are burn-in and discarded.  The AR(1) mean needs |ar1| < 1; nu = inf draws normals.
-    """
-    if n < 2:
-        raise InputError("n must be >= 2")
-    if not abs(params.ar1) < 1.0:
-        raise InputError(f"simulation needs a stationary AR(1) mean, |ar1| < 1, got ar1={params.ar1}")
-    burn = 500
-    rng = _philox(seed)
-    z = (rng.standard_normal(n + burn) if math.isinf(params.nu)
-         else rng.standard_t(params.nu, size=n + burn) * math.sqrt((params.nu - 2.0) / params.nu))
-    out = np.empty(n + burn)
-    s2 = params.unconditional_variance
-    prev_r = params.mean / (1.0 - params.ar1)
-    prev_eps = 0.0
-    for t in range(n + burn):
-        s2 = params.omega + params.alpha1 * prev_eps**2 + params.beta1 * s2
-        eps = math.sqrt(s2) * z[t]
-        out[t] = params.mean + params.ar1 * prev_r + eps
-        prev_r, prev_eps = out[t], eps
-    base = (start or date(2000, 1, 3)).toordinal()
-    dates = tuple(date.fromordinal(base + i) for i in range(n))
-    return ReturnSeries(dates=dates, returns=out[burn:])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from predbs.calibration import ClampStatus, build_surface, implied_excess_predictability
 from predbs.data_io import OptionChain, OptionQuote, parse_option_chain, parse_return_series
 from predbs.errors import ParseError
-from predbs.pricing import PricingInputs, call_price, pde_residual
+from predbs.pricing import PricingInputs, call_price
 from predbs.sde import (
     IntegrandPath,
     PathSimConfig,
@@ -28,7 +28,8 @@ from predbs.sde import (
     stratonovich_alpha_integral,
     stratonovich_half_integral,
 )
-from predbs.volatility import GarchParams, VolEstimate, VrpResult, fit_ar_garch, simulate_ar_garch
+from predbs.volatility import GarchParams, VolEstimate, VrpResult, fit_ar_garch
+from reference import pde_residual, simulate_ar_garch
 
 
 @contextmanager

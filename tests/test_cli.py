@@ -326,7 +326,8 @@ def test_vol_vix_quote(capsys):
 
 
 def test_vol_garch_method(tmp_path, capsys):
-    from predbs.volatility import GarchParams, simulate_ar_garch
+    from predbs.volatility import GarchParams
+    from reference import simulate_ar_garch
 
     params = GarchParams(ar1=0.0, mean=0.0, omega=1e-6, alpha1=0.08, beta1=0.9, nu=6.0)
     series = simulate_ar_garch(params, n=300, seed=6)
@@ -759,6 +760,14 @@ def test_numpy_is_bound_once_per_module(module):
     lazy_binding = f"__getattr__:{_Numpy.__getattr__.__code__.co_firstlineno}"
     assert importers == ([lazy_binding] if module == "predbs.sde" else [])
     assert ("np" in vars(importlib.import_module(module))) == any("np" in c.co_names for c in code_objects)
+
+
+@pytest.mark.parametrize("module", [f"predbs.{m}" for m in
+                                    ["calibration", "cli", "data_io", "pricing", "sde", "volatility"]])
+def test_every_name_in_all_is_defined(module):
+    # `from module import *` imports each name __all__ lists, and fails on one the module does not define
+    public = importlib.import_module(module)
+    assert [name for name in public.__all__ if not hasattr(public, name)] == []
 
 
 def test_each_array_module_binds_numpy_at_its_own_first_numpy_call(fixtures_dir):

@@ -6,7 +6,7 @@ the exit code and stdout of every invocation, stderr of every failing one,
 and the bytes of every file the case leaves in that directory.
 
 Inputs are the chain fixture and tests/fixtures/golden/returns.csv, written
-once from `simulate_ar_garch`; closes.csv (its closes from 100) and
+once from `reference.simulate_ar_garch`; closes.csv (its closes from 100) and
 returns_blank_nan.csv (it with a blank line and a later nan) are written
 once from returns.csv.  returns_multiline.csv, written by hand, holds a
 quoted cell that spans two lines before a nan on physical line 6, its fifth
@@ -30,6 +30,8 @@ from pathlib import Path
 import pytest
 
 from predbs.cli import main
+from predbs.volatility import GarchParams
+from reference import simulate_ar_garch
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -151,27 +153,32 @@ def test_golden_cli(name, record, tmp_path):
     assert run_case(CASES[name], tmp_path) == record[name]
 
 
-def _write_returns_fixture() -> None:
-    from predbs.volatility import GarchParams, simulate_ar_garch
-
+def _write_returns_fixture(directory: Path) -> None:
     params = GarchParams(ar1=0.05, mean=2e-4, omega=2e-6, alpha1=0.08, beta1=0.9, nu=6.0)
     series = simulate_ar_garch(params, n=300, seed=2015, start=date(2014, 1, 2))
     lines = ["date,log_return"] + [f"{d.isoformat()},{r:.17g}" for d, r in zip(series.dates, series.returns)]
-    RETURNS.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (directory / RETURNS.name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_fixtures_from_returns() -> None:
+def _write_fixtures_from_returns(directory: Path) -> None:
     import math
 
-    rows = [line.split(",") for line in RETURNS.read_text(encoding="utf-8").splitlines()[1:]]
+    rows = [line.split(",") for line in (directory / RETURNS.name).read_text(encoding="utf-8").splitlines()[1:]]
     closes, close = ["date,close", "2014-01-01,100"], 100.0
     for d, r in rows:
         close *= math.exp(float(r))
         closes.append(f"{d},{close:.17g}")
-    CLOSES.write_text("\n".join(closes) + "\n", encoding="utf-8")
+    (directory / CLOSES.name).write_text("\n".join(closes) + "\n", encoding="utf-8")
     dirty = ["date,log_return"] + [f"{d},{'nan' if i == 39 else r}" for i, (d, r) in enumerate(rows)]
     dirty.insert(11, "")  # a blank line 12, so the nan is on line 42
-    DIRTY_RETURNS.write_text("\n".join(dirty) + "\n", encoding="utf-8")
+    (directory / DIRTY_RETURNS.name).write_text("\n".join(dirty) + "\n", encoding="utf-8")
+
+
+def test_generated_inputs_rebuild_byte_for_byte(tmp_path):
+    _write_returns_fixture(tmp_path)
+    _write_fixtures_from_returns(tmp_path)
+    for committed in (RETURNS, CLOSES, DIRTY_RETURNS):
+        assert (tmp_path / committed.name).read_bytes() == committed.read_bytes(), committed.name
 
 
 if __name__ == "__main__":
@@ -179,9 +186,9 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
     if not RETURNS.exists():  # inputs, written once; re-recording keeps them
-        _write_returns_fixture()
+        _write_returns_fixture(GOLDEN)
     if not CLOSES.exists():
-        _write_fixtures_from_returns()
+        _write_fixtures_from_returns(GOLDEN)
     out = {}
     for case, case_steps in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:

@@ -19,15 +19,14 @@ from predbs.volatility import (
     VrpResult,
     fit_ar_garch,
     garch_forecast_vol,
-    garch_log_likelihood,
     historical_vol,
     realized_vol,
-    simulate_ar_garch,
     variance_risk_premium,
     vix_to_sigma,
 )
 from predbs.volatility import (_BOUNDS, _Workspace, _admissible, _neg_loglik, _passes, _scan, _starting_points,
                                _t_constant)
+from reference import garch_log_likelihood, simulate_ar_garch, unconditional_variance
 
 
 def make_series(returns):
@@ -283,8 +282,6 @@ def test_garch_simulation_reestimation():
 
 
 def test_garch_stored_log_likelihood_consistent():
-    from predbs.volatility import garch_log_likelihood
-
     series = simulate_ar_garch(TRUE_PARAMS, n=1_000, seed=8)
     fitted = fit_ar_garch(series)
     assert fitted.log_likelihood == pytest.approx(
@@ -520,7 +517,7 @@ def test_garch_gaussian_like_data():
     fitted = fit_ar_garch(series)
     assert fitted.alpha1 + fitted.beta1 < 1.0
     sample_var = float(np.var(series.returns, ddof=1))
-    assert abs(fitted.unconditional_variance - sample_var) / sample_var < 0.15
+    assert abs(unconditional_variance(fitted) - sample_var) / sample_var < 0.15
 
 
 def test_garch_constant_series_degenerate():
@@ -624,7 +621,7 @@ def test_forecast_responds_to_shock():
     shocked = make_series(np.concatenate([series.returns, [0.08]]))  # ~10-sigma day
     base = garch_forecast_vol(TRUE_PARAMS, series).sigma_daily
     after = garch_forecast_vol(TRUE_PARAMS, shocked).sigma_daily
-    uncond = math.sqrt(TRUE_PARAMS.unconditional_variance)
+    uncond = math.sqrt(unconditional_variance(TRUE_PARAMS))
     assert after > base
     assert after > uncond
 
@@ -638,7 +635,7 @@ def test_forecast_tracks_simulator_truth():
         rng = np.random.Generator(np.random.Philox(key=10_000 + rep))
         n, burn = 500, 200
         z = rng.standard_t(params.nu, size=n + burn) * math.sqrt((params.nu - 2) / params.nu)
-        s2 = params.unconditional_variance
+        s2 = unconditional_variance(params)
         prev_eps = 0.0
         rets = np.empty(n + burn)
         for t in range(n + burn):
