@@ -1,6 +1,6 @@
 """CSV ingestion and persistence for chains, return series and surfaces.
 
-Parsers are total: any byte stream either yields a validated value or raises
+Parsers are total: any source either yields a validated value or raises
 ParseError / DataQualityError with a line-level message, never an unrelated
 exception.  A message's "line N" is the physical line its record starts on,
 the header being line 1, so a quoted cell may span lines.
@@ -99,30 +99,28 @@ class OptionChain:
             if q.quote_date != self.quote_date:
                 raise InputError("all quotes must share the chain quote_date")
 
-    def __len__(self) -> int:
-        return len(self.quotes)
-
 
 def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]], list[int]]:
     """Read a CSV source into its header, its non-blank rows and the physical line each of those rows starts on.
 
-    Paths are opened and closed here; byte streams are decoded as UTF-8 and,
-    like text streams, left open.  Paths and byte streams end a line at LF,
-    CRLF or a bare CR; a text stream's lines are those it yields.  Header
-    cells are stripped of a leading byte-order mark, then of whitespace.
+    A path is opened and closed here; a stream is read to its end and left open.  Every source is read whole as
+    bytes (a text stream's str encoded as UTF-8) and decoded as UTF-8, so a decode fault names its offset in the
+    file, and a line ends at LF, CRLF or a bare CR.  Header cells are stripped of a leading byte-order mark, then
+    of whitespace.
     """
-    should_close = isinstance(source, (str, Path))
-    if should_close:
-        try:
-            fh = open(source, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ParseError(f"cannot open {source}: {exc}") from exc
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        fh = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    else:
-        fh = source
     try:
-        reader = csv.reader(fh)
+        if isinstance(source, (str, Path)):
+            try:
+                with open(source, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                raise ParseError(f"cannot open {source}: {exc}") from exc
+        else:
+            data = source.read()  # a text stream over undecodable bytes raises here
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        data.decode("utf-8")  # the reader below decodes in chunks, and would name a fault's offset in its chunk
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{what}: file is empty")
@@ -133,13 +131,8 @@ def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]], li
                 rows.append(row)
                 lines.append(start)
             start = reader.line_num + 1
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (UnicodeError, csv.Error) as exc:  # encoding a text stream's str may raise UnicodeEncodeError
         raise ParseError(f"{what}: unreadable content: {exc}") from exc
-    finally:
-        if should_close:
-            fh.close()
-        elif fh is not source:
-            fh.detach()  # a dropped wrapper would close the caller's byte stream
     return [h.lstrip("\ufeff").strip() for h in header], rows, lines
 
 

@@ -100,14 +100,6 @@ class BrownianPath:
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise InputError("times and values must be finite")
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     @classmethod
     def sample(cls, steps: int, horizon: float, seed: int) -> "BrownianPath":
         """Draw a path with i.i.d. Normal(0, dt) increments from a seeded Philox stream."""

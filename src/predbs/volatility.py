@@ -247,8 +247,11 @@ class _Workspace:
         return eps, eps2, _scan(s2, b1, self.s2_passes)
 
     def value(self, params: np.ndarray, r: np.ndarray) -> float:
-        """The negative log-likelihood of _neg_loglik at params, or _PENALTY; what gradient(params, r) reads stays
-        in the buffers and in self.last until the next value or filter."""
+        """The negative log-likelihood of the returns `r` at params x = (mu0, phi, omega, a1, b1, eta = 1/nu), the sum
+        of -ll_t, ll_t = C(eta) - ln(sigma^2)/2 - (1 + eta) m R(eta m)/2, m = eps^2 / ((1 - 2 eta) sigma^2),
+        R(u) = log1p(u)/u, R(0) = 1: eta = 0 is the Gaussian limit, and nothing cancels near it.  It is _PENALTY where
+        x is non-finite or not _admissible, or the sigma^2 path is not finite and positive.  What gradient(params, r)
+        reads stays in the buffers and in self.last until the next value or filter."""
         x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
         nll, dconst = self._value(x, r)
         self.last = params.tobytes(), r, x, dconst
@@ -277,7 +280,8 @@ class _Workspace:
         return (-ll, dconst) if math.isfinite(ll) else penalty
 
     def gradient(self, params: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The gradient of the negative log-likelihood at params (see _neg_loglik), zero at a penalty point.  It is
+        """The exact gradient of the negative log-likelihood at params (see value), zero at a penalty point:
+        g_t = d ll / d sigma^2_t obeys the sigma^2 filter run backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.  It is
         formed from the intermediates of the last value call, which runs first if that call was at another point
         (bit for bit) or series, so the result does not depend on the order of calls.  Entries past the float range
         (a sigma^2 path far below the residuals, outside the fit's _BOUNDS) read inf or nan."""
@@ -320,18 +324,6 @@ class _Workspace:
             ])
 
 
-def _neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of the returns `r` at x = (mu0, phi, omega, a1, b1, eta = 1/nu), and its gradient:
-    ll_t = C(eta) - ln(sigma^2)/2 - (1 + eta) m R(eta m)/2, m = eps^2 / ((1 - 2 eta) sigma^2), R(u) = log1p(u)/u, R(0) = 1:
-    eta = 0 is the Gaussian limit, and nothing cancels near it.  The value is _PENALTY (gradient zero) where x is
-    non-finite or not _admissible, or the sigma^2 path is not finite and positive.  The gradient is exact:
-    g_t = d ll / d sigma^2_t obeys the sigma^2 filter run backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.
-    It is evaluated in a _Workspace made for this call, value then gradient; fit_ar_garch evaluates every point in
-    one that it keeps, and forms the gradient only at the points where SLSQP asks for one."""
-    workspace = _Workspace(r.size)
-    return workspace.value(params, r), workspace.gradient(params, r)
-
-
 def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
     return [np.array([float(np.mean(r_scaled)), 0.0, float(np.var(r_scaled)) * (1.0 - 0.05 - 0.90), 0.05, 0.90, 1 / 8])]
 
@@ -352,7 +344,7 @@ def minimize(*args, **kwargs):
 
 def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     """Maximize the Student-t conditional log-likelihood by SLSQP from one start (restarted once if it fails).
-    SLSQP runs on eta = 1/nu with the exact gradient (see _neg_loglik) inside _BOUNDS and _STATIONARITY, on returns
+    SLSQP runs on eta = 1/nu with the exact gradient (see _Workspace.value) inside _BOUNDS and _STATIONARITY, on returns
     standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  It
     reads the value at every point and the gradient only where it asks for one, formed from the buffers of the value
     at that point.  A fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is

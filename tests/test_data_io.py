@@ -45,7 +45,7 @@ def test_parse_well_formed_chain():
         "2015-01-02,2015-06-20,200,put,8.1,8.4",
     ])
     chain = parse_option_chain(io.StringIO(text), spot=206.38)
-    assert len(chain) == 3
+    assert len(chain.quotes) == 3
     assert chain.quote_date == date(2015, 1, 2)
     assert chain.quotes[0].mid == pytest.approx(10.25)
     assert chain.quotes[2].right == "put"
@@ -59,7 +59,7 @@ def test_parse_chain_skips_crossed_market():
         "2015-01-02,2015-03-20,220,call,2.0,2.2",
     ])
     chain = parse_option_chain(io.StringIO(text), spot=206.38)
-    assert len(chain) == 2
+    assert len(chain.quotes) == 2
     assert len(chain.skipped) == 1
     assert "line 3" in chain.skipped[0]
 
@@ -70,7 +70,7 @@ def test_parse_chain_skips_mixed_quote_dates():
         "2015-01-05,2015-03-20,210,call,4.8,5.0",
     ])
     chain = parse_option_chain(io.StringIO(text), spot=206.38)
-    assert len(chain) == 1
+    assert len(chain.quotes) == 1
     assert "quote_date" in chain.skipped[0]
 
 
@@ -119,17 +119,17 @@ def test_parse_chain_missing_file():
 
 def test_parse_chain_bytes_stream():
     text = chain_text(["2015-01-02,2015-03-20,200,call,10.0,10.5"])
-    stream = io.BytesIO(text.encode())
-    chain = parse_option_chain(stream, spot=206.38)
-    assert len(chain) == 1
-    gc.collect()
-    assert not stream.closed  # the caller's stream is left open
+    for stream in (io.BytesIO(text.encode()), io.StringIO(text)):
+        chain = parse_option_chain(stream, spot=206.38)
+        assert len(chain.quotes) == 1
+        gc.collect()
+        assert not stream.closed  # the caller's stream is left open
 
 
 def test_parse_chain_crlf():
     text = chain_text(["2015-01-02,2015-03-20,200,call,10.0,10.5"]).replace("\n", "\r\n")
     chain = parse_option_chain(io.BytesIO(text.encode()), spot=206.38)
-    assert len(chain) == 1
+    assert len(chain.quotes) == 1
 
 
 def test_parse_chain_skips_row_short_of_a_later_column():
@@ -140,7 +140,7 @@ def test_parse_chain_skips_row_short_of_a_later_column():
             "x,2015-01-02,2015-03-20,200,call,10.0,10.5\n"
             "x,2015-01-02,2015-03-20,200,call,10.0\n")
     chain = parse_option_chain(io.StringIO(text), spot=100)
-    assert len(chain) == 1
+    assert len(chain.quotes) == 1
     assert chain.skipped == ("option chain line 3: expected 7 fields, got 6",)
 
 
@@ -163,22 +163,36 @@ def test_parse_chain_skip_message_of_each_dirty_row_kind(row, message):
     # the blank line counts: the dirty row is line 5
     text = chain_text(["2015-01-02,2015-03-20,200,call,10.0,10.5", "", "2015-01-02,2015-03-20,220,call,2.0,2.2", row])
     chain = parse_option_chain(io.StringIO(text), spot=206.38)
-    assert len(chain) == 2
+    assert len(chain.quotes) == 2
     assert chain.skipped == (f"option chain line 5: {message}",)
 
 
-# the line endings a path or byte stream may use; a quoted cell holds them too
-_EOLS = pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+_EOL_IDS = {"\n": "lf", "\r\n": "crlf", "\r": "cr"}
+# the line endings any source may use; a quoted cell holds them too
+_EOLS = pytest.mark.parametrize("eol", list(_EOL_IDS), ids=list(_EOL_IDS.values()))
+# each kind of source with each line ending; a byte stream's id is the line ending's alone
+_SOURCE_EOLS = pytest.mark.parametrize("kind, eol", [
+    pytest.param(kind, eol, id=name if kind == "bytes" else f"{kind}-{name}")
+    for kind in ("bytes", "path", "text") for eol, name in _EOL_IDS.items()])
 
 
-@_EOLS
-def test_parse_chain_names_the_physical_line_a_row_starts_on(eol):
+def as_source(kind, text, tmp_path):
+    """`text` as a byte stream, as a UTF-8 file under tmp_path, or as a text stream."""
+    if kind == "path":
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode())
+        return path
+    return io.BytesIO(text.encode()) if kind == "bytes" else io.StringIO(text)
+
+
+@_SOURCE_EOLS
+def test_parse_chain_names_the_physical_line_a_row_starts_on(tmp_path, kind, eol):
     # the first row's quoted right spans lines 2 and 3, so the bad strike, the chain's fifth record, is on line 6
     rows = ['2015-01-02,2015-03-20,200,"call' + eol + '",10.0,10.5', "2015-01-02,2015-03-20,210,call,4.8,5.0",
             "2015-01-02,2015-03-20,220,call,2.0,2.2", "2015-01-02,2015-03-20,bad,call,1,2"]
     text = eol.join(["quote_date,expiry,strike,right,bid,ask", *rows]) + eol
-    chain = parse_option_chain(io.BytesIO(text.encode()), spot=206.38)
-    assert len(chain) == 3
+    chain = parse_option_chain(as_source(kind, text, tmp_path), spot=206.38)
+    assert len(chain.quotes) == 3
     assert chain.skipped == ("option chain line 6: bad number 'bad'",)
 
 
@@ -254,12 +268,28 @@ def test_parse_returns_counts_blank_lines_in_a_bad_rows_line_number():
         parse_return_series(io.StringIO(text))
 
 
-@_EOLS
-def test_parse_returns_names_the_physical_line_a_row_starts_on(eol):
+@_SOURCE_EOLS
+def test_parse_returns_names_the_physical_line_a_row_starts_on(tmp_path, kind, eol):
     # the second row's quoted date spans lines 3 to 5 and line 6 is blank: the nan, the fifth record, is on line 7
     text = eol.join(["date,log_return", "2015-01-02,0.01", '"2015-01-05' + eol * 2 + '",0.02', "", "2015-01-06,nan"])
     with pytest.raises(ParseError, match=r"^return series line 7: non-finite value 'nan'$"):
-        parse_return_series(io.BytesIO((text + eol).encode()))
+        parse_return_series(as_source(kind, text + eol, tmp_path))
+
+
+@pytest.mark.parametrize("kind", ["bytes", "path"])
+@pytest.mark.parametrize("rows, tail, fault", [
+    # past the first 8 KiB, where a decoder reading in chunks would name the fault's offset within its chunk
+    (1000, b"\xff,0.02\n", "byte 0xff in position {}: invalid start byte"),
+    # a sequence cut off by the end of the file, which that decoder names by its offset within the leftover bytes
+    (1, b"\xe2\x82", "bytes in position {}-{}: unexpected end of data"),
+], ids=["past_8_kib", "cut_at_the_end"])
+def test_parse_returns_names_a_decode_fault_by_its_offset_in_the_file(tmp_path, kind, rows, tail, fault):
+    head = ("date,log_return\n" + "2015-01-02,0.01\n" * rows).encode()
+    path = tmp_path / "input.csv"
+    path.write_bytes(head + tail)
+    message = fault.format(len(head), len(head) + 1)
+    with pytest.raises(ParseError, match=f"^return series: unreadable content: 'utf-8' codec can't decode {message}$"):
+        parse_return_series(path if kind == "path" else io.BytesIO(path.read_bytes()))
 
 
 @pytest.mark.parametrize("header, rows, message", [
@@ -285,7 +315,7 @@ def test_parse_returns_reports_the_first_faulty_line(header, rows, message):
 @pytest.mark.parametrize("lead", ["", " ", "\ufeff", "\ufeff "], ids=["bare", "space", "bom", "bom_space"])
 def test_parsers_strip_a_byte_order_mark_then_whitespace_from_a_header_cell(lead):
     chain = parse_option_chain(io.StringIO(lead + chain_text(["2015-01-02,2015-03-20,200,call,10.0,10.5"])), spot=100)
-    assert len(chain) == 1
+    assert len(chain.quotes) == 1
     series = parse_return_series(io.StringIO(lead + "date,log_return\n2015-01-02,0.01\n2015-01-05,-0.02\n"))
     assert series.returns.tolist() == [0.01, -0.02]
 

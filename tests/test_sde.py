@@ -50,7 +50,7 @@ def test_brownian_sample_reproducible():
     b = BrownianPath.sample(steps=128, horizon=1.0, seed=5)
     assert np.array_equal(a.values, b.values)
     assert a.values[0] == 0.0
-    assert a.dt == pytest.approx(1.0 / 128)
+    assert a.times[1] - a.times[0] == pytest.approx(1.0 / 128)
 
 
 def test_subsample_divisibility(fixture_path):
@@ -80,9 +80,9 @@ def test_ito_brownian_vs_ito_formula_oracle(fixture_path):
     # so the gap to (B_T^2 - T)/2 is O(sqrt(dt))
     theta = IntegrandPath.from_brownian(fixture_path)
     value = ito_integral(theta, fixture_path)
-    T = fixture_path.horizon
+    T = float(fixture_path.times[-1])
     oracle = (fixture_path.values[-1] ** 2 - T) / 2.0
-    bound = 4.0 * math.sqrt(2.0 * T * fixture_path.dt) / 2.0
+    bound = 4.0 * math.sqrt(2.0 * T * (fixture_path.times[1] - fixture_path.times[0])) / 2.0
     assert abs(value - oracle) < bound
 
     # ensemble: mean gap shrinks as 1/sqrt(n); check within 3 SE at 1e5 paths

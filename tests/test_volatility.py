@@ -24,9 +24,8 @@ from predbs.volatility import (
     variance_risk_premium,
     vix_to_sigma,
 )
-from predbs.volatility import (_BOUNDS, _Workspace, _admissible, _neg_loglik, _passes, _scan, _starting_points,
-                               _t_constant)
-from reference import garch_log_likelihood, simulate_ar_garch, unconditional_variance
+from predbs.volatility import _BOUNDS, _Workspace, _admissible, _passes, _scan, _starting_points, _t_constant
+from reference import garch_log_likelihood, neg_loglik, simulate_ar_garch, unconditional_variance
 
 
 def make_series(returns):
@@ -304,13 +303,13 @@ def test_garch_fit_beats_every_start():
     fitted_scaled = np.array([
         fitted.mean / sd, fitted.ar1, fitted.omega / sd**2, fitted.alpha1, fitted.beta1, 1 / fitted.nu,
     ])
-    best_nll = _neg_loglik(fitted_scaled, r_scaled)[0]
+    best_nll = neg_loglik(fitted_scaled, r_scaled)[0]
     (start,) = _starting_points(r_scaled)
-    assert best_nll <= _neg_loglik(start, r_scaled)[0]
+    assert best_nll <= neg_loglik(start, r_scaled)[0]
     var, mean = float(np.var(r_scaled)), float(np.mean(r_scaled))
     stationarity = LinearConstraint([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]], -np.inf, 0.999999 - 1e-9)
     for a0, b0, omega0, nu0 in SIX_STARTS:
-        res = minimize(_neg_loglik, np.array([mean, 0.0, var * omega0, a0, b0, 1 / nu0]), args=(r_scaled,),
+        res = minimize(neg_loglik, np.array([mean, 0.0, var * omega0, a0, b0, 1 / nu0]), args=(r_scaled,),
                        jac=True, method="SLSQP", bounds=_BOUNDS, constraints=[stationarity],
                        options=dict(maxiter=500, ftol=1e-12))
         assert best_nll <= res.fun + 1e-9, (a0, b0, nu0)
@@ -326,18 +325,18 @@ def test_neg_loglik_gradient_matches_central_difference(x):
     r = standardized(simulate_ar_garch(
         GarchParams(ar1=0.1, mean=2e-4, omega=2e-6, alpha1=0.08, beta1=0.9, nu=5.0), n=1_500, seed=21))
     x = np.array(x)
-    grad = _neg_loglik(x, r)[1]
+    grad = neg_loglik(x, r)[1]
     for k in range(6):
         # 5-point stencil, step small enough to stay inside the admissible region
         h = 1e-6 * max(abs(x[k]), 1e-2)
-        f = [_neg_loglik(x + j * h * np.eye(6)[k], r)[0] for j in (-2, -1, 1, 2)]
+        f = [neg_loglik(x + j * h * np.eye(6)[k], r)[0] for j in (-2, -1, 1, 2)]
         fd = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
         assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-6 * np.max(np.abs(grad))), k
 
 
 def test_neg_loglik_gradient_is_zero_at_penalty():
     r = standardized(simulate_ar_garch(TRUE_PARAMS, n=300, seed=4))
-    value, grad = _neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 1 / 6]), r)
+    value, grad = neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 1 / 6]), r)
     assert value == 1e10
     assert not np.any(grad)
 
@@ -377,7 +376,7 @@ def test_log_likelihood_rejects_a_zero_variance_path():
 @pytest.mark.parametrize("nu", [1e7, 2.5e8, 1e12, math.inf])
 def test_student_t_constant_at_large_nu(nu):
     r = np.array([0.0, 1.0])  # one residual eps = 1, with sigma^2 = mean(eps^2) = 1
-    ll = -_neg_loglik(np.array([0.0, 0.0, 0.1, 0.1, 0.8, 1 / nu]), r)[0]
+    ll = -neg_loglik(np.array([0.0, 0.0, 0.1, 0.1, 0.8, 1 / nu]), r)[0]
     if math.isinf(nu):  # the Gaussian limit: -ln(2 pi)/2 - eps^2 / (2 sigma^2)
         expected = -0.5 * math.log(2 * math.pi) - 0.5
     else:  # ln Gamma(a + 1/2) - ln Gamma(a) = 0.5 ln a - 1/(8a) + 1/(192 a^3) + O(a^-5), a = nu/2
@@ -412,7 +411,7 @@ def test_student_t_constant_matches_a_40_digit_reference(eta, c, dc):
     assert slope == pytest.approx(dc, rel=1e-14, abs=0)
 
 
-# (eta, value, gradient) of _neg_loglik at (0.05, 0.2, 0.1, 0.1, 0.8, eta) on LIKELIHOOD_RETURNS, computed
+# (eta, value, gradient) of neg_loglik at (0.05, 0.2, 0.1, 0.1, 0.8, eta) on LIKELIHOOD_RETURNS, computed
 # with mpmath at 80 digits: the likelihood written with loggamma, the gradient by mpmath.diff, and at
 # eta = 0 the Gaussian limit with the eta-derivative sum_t (3/4 + m_t^2/4 - 3 m_t/2), m_t = eps_t^2 / sigma_t^2
 LIKELIHOOD_RETURNS = np.array([0.3, -1.2, 0.8, 2.5, -0.4, 0.05, -1.9, 1.1, 0.6, -0.7])
@@ -430,7 +429,7 @@ LIKELIHOOD = [
 
 @pytest.mark.parametrize("eta, value, grad", LIKELIHOOD)
 def test_neg_loglik_matches_a_40_digit_reference(eta, value, grad):
-    got, got_grad = _neg_loglik(np.array([0.05, 0.2, 0.1, 0.1, 0.8, eta]), LIKELIHOOD_RETURNS)
+    got, got_grad = neg_loglik(np.array([0.05, 0.2, 0.1, 0.1, 0.8, eta]), LIKELIHOOD_RETURNS)
     grad = np.array(grad)
     assert got == pytest.approx(value, rel=1e-14, abs=0)
     # the mu0 entry sums terms of both signs, so the gradient is held to 1e-14 of its largest entry;
