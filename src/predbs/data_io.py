@@ -113,7 +113,7 @@ def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]], li
             try:
                 with open(source, "rb") as fh:
                     data = fh.read()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte
                 raise ParseError(f"cannot open {source}: {exc}") from exc
         else:
             data = source.read()  # a text stream over undecodable bytes raises here
@@ -257,8 +257,10 @@ def _overwrite(path: Union[str, Path]) -> Iterator[TextIO]:
 
 def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> None:
     """Write surface CSV plus a JSON metadata sidecar (same stem, .json), each overwritten in place
-    and cut to length; like a truncating open(path, "w"), that is not atomic.  A .json path is refused:
-    the sidecar would overwrite it."""
+    and cut to length; like a truncating open(path, "w"), that is not atomic.  A .json path is refused,
+    since the sidecar would overwrite it, and so is a path with no file name, such as "." or "/"."""
+    if not Path(path).name:
+        raise InputError(f"surface path {path} names no file")
     if _meta_path(path) == Path(path):
         raise InputError(f"surface path {path} ends in .json, the metadata sidecar's own name")
     with _overwrite(path) as fh:

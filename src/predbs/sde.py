@@ -24,7 +24,7 @@ Randomness comes from counter-based Philox streams keyed by the config
 seed, with path i owning row i of a fixed (paths, steps) draw layout, so
 batches are bit-reproducible and independent of any internal parallelism.
 The simulator draws that layout in blocks of whole rows, in O(paths + max(2^16, steps)) memory, and sums
-in fixed-order blocks of 2^16. The MC pricer samples the forward and forms its payoff on one paths-long array.
+in fixed-order blocks of 2^16. The MC pricer draws one Philox normal per path and forms its payoff in place on it.
 numpy is bound once, as the global np, and loads at the module's first numpy call: importing it loads no numpy.
 """
 
@@ -233,9 +233,6 @@ def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
     return PathBatch(log_return=log_return, config=cfg)
 
 
-_log_exact = simulate_stratonovich_alpha  # the MC pricer's handle, untouched by wrappers of the public name
-
-
 @dataclass(frozen=True)
 class McCallEstimate:
     price: float
@@ -257,11 +254,12 @@ def mc_risk_neutral_call(
     """Discounted Monte Carlo call price under the risk-neutral drift r - p*sigma^2.
 
     The predictability dividend yield p*sigma^2 lowers the drift exactly like a continuous dividend
-    yield.  S_T = F e^{sigma B_tau - sigma^2 tau/2} samples the forward F = s0 e^{(r - q) tau} through
-    the price simulator (mu = 0, s0 = 1, alpha = 0) in one log-exact step: statistical error only.
+    yield.  S_T = F e^{sigma sqrt(tau) Z - sigma^2 tau/2} samples the forward F = s0 e^{(r - q) tau} exactly,
+    from one Philox normal Z per path, and the payoff is formed in place on that draw: statistical error only.
     """
     inputs = PricingInputs(spot=s0, strike=strike, tau=tau, rate=rate, sigma=sigma, p=p)
-    cfg = PathSimConfig(mu=0.0, sigma=sigma, alpha=0.0, s0=1.0, horizon=tau, steps=1, paths=paths, seed=seed)
+    if not (tau > 0 and 1 <= paths < 1 << 60):  # 2^60 float64s: numpy's 2^63 bytes
+        raise InputError(f"tau must be > 0 and paths >= 1 and < 2**60, got tau = {tau} and paths = {paths}")
     if sigma == 0.0:  # no diffusion: the closed form is exact
         return McCallEstimate(price=call_price(inputs).price, std_error=0.0, paths=paths, seed=seed)
     fwd = _scaled_exp(s0, (rate - inputs.dividend_yield) * tau)
@@ -269,7 +267,9 @@ def mc_risk_neutral_call(
         raise InputError("risk-neutral forward s0 e^((r - q) tau) overflows the float range")
     e, disc = math.frexp(max(fwd, strike))[1], math.exp(-rate * tau)
     # S_T and K in exact units of 2^e ~ max(F, K): an S_T near the largest float and a K far past F stay finite
-    x = _log_exact(cfg).log_return  # this call's own batch: the payoff is formed over it in place
+    x = _philox(seed).standard_normal(paths)  # ln(S_T / F) = sigma sqrt(tau) Z - sigma^2 tau / 2, in place
+    x *= sigma * math.sqrt(tau)
+    x -= 0.5 * (sigma * sigma) * tau
     np.exp(x, out=x)
     x *= math.ldexp(fwd, -e)
     x -= math.ldexp(strike, -e)

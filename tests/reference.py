@@ -55,6 +55,25 @@ def pde_residual(inputs: PricingInputs) -> float:
     )
 
 
+def quadrature_call(spot: float, strike: float, tau: float, rate: float, sigma: float, q: float) -> float:
+    """Discounted lognormal expectation of the call payoff, integrated by quad: the independent pricing oracle.
+
+    The integrand's mass beyond z* + 45 (and beyond 45) is about e^-1000, so truncating there keeps quad's probes
+    inside the range of math.exp.
+    """
+    from scipy.integrate import quad
+
+    mu_log = (rate - q - 0.5 * sigma * sigma) * tau
+    sd = sigma * math.sqrt(tau)
+    z_star = (math.log(strike / spot) - mu_log) / sd
+
+    def integrand(z):
+        return (spot * math.exp(mu_log + sd * z) - strike) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+    value, _ = quad(integrand, z_star, max(z_star + 45.0, 45.0), limit=200)
+    return math.exp(-rate * tau) * value
+
+
 def unconditional_variance(params: GarchParams) -> float:
     """The stationary variance omega / (1 - alpha1 - beta1) of the GARCH(1,1) innovations."""
     return params.omega / (1.0 - params.alpha1 - params.beta1)

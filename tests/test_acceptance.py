@@ -13,7 +13,6 @@ from datetime import date
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from predbs.calibration import ClampStatus, build_surface, implied_excess_predictability
 from predbs.data_io import OptionChain, OptionQuote, parse_option_chain, parse_return_series
@@ -29,7 +28,7 @@ from predbs.sde import (
     stratonovich_half_integral,
 )
 from predbs.volatility import GarchParams, VolEstimate, VrpResult, fit_ar_garch
-from reference import pde_residual, simulate_ar_garch
+from reference import pde_residual, quadrature_call, simulate_ar_garch
 
 
 @contextmanager
@@ -45,21 +44,6 @@ def report(num: int, desc: str, budget_s: float | None = None):
         print(f"[FAIL] criterion {num:2d} - {desc} (runtime {elapsed:.2f}s over budget {budget_s}s)")
         raise AssertionError(f"criterion {num} runtime {elapsed:.2f}s exceeds budget {budget_s}s")
     print(f"[PASS] criterion {num:2d} - {desc} ({elapsed:.2f}s)")
-
-
-def quadrature_call(spot, strike, tau, rate, sigma, q):
-    mu_log = (rate - q - 0.5 * sigma * sigma) * tau
-    sd = sigma * math.sqrt(tau)
-    z_star = (math.log(strike / spot) - mu_log) / sd
-
-    def integrand(z):
-        return (spot * math.exp(mu_log + sd * z) - strike) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-
-    # integrand mass beyond z*+45 (and beyond 45) is ~exp(-1000): truncation
-    # keeps quad's probes inside math.exp range
-    upper = max(z_star + 45.0, 45.0)
-    value, _ = quad(integrand, z_star, upper, limit=200)
-    return math.exp(-rate * tau) * value
 
 
 def test_criterion_01_classical_reduction():

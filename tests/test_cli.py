@@ -268,6 +268,16 @@ def test_simulate_past_numpys_array_limit_is_domain_error(flag, capsys):
     assert err.startswith("error: steps and paths must be >= 1 and < 2**60") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("out", [".", "/"])
+def test_surface_out_with_no_file_name_is_domain_error(out, fixtures_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, "surface", "--chain", str(fixtures_dir / "chain_2015_mimic.csv"),
+                                "--spot", "206.38", "--rate", "0.0212", "--method", "vix", "--vix", "15", "--out", out)
+    assert code == 1 and stdout == ""
+    assert err == f"error: surface path {out} names no file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_reports_an_exhausted_memory_as_domain_error(monkeypatch, capsys):
     from predbs import sde
 
@@ -636,7 +646,7 @@ def _argv(command: str, files: dict) -> st.SearchStrategy:
         "diff-surface": _options(base=files["surface"], other=files["surface"]),
     }[command]
     if command in ("surface", "diff-surface"):  # --out holds the surface or diff CSV
-        out = st.just(["--out", str(files["work"] / "out.csv")])
+        out = st.sampled_from([["--out", str(files["work"] / "out.csv")], ["--out", "."], ["--out", str(files["work"])]])
     else:
         out = st.sampled_from([[], ["--out", str(files["work"] / "out.txt")], ["--out", str(files["work"])]])
     return st.tuples(body, out, st.sampled_from(["table", "csv", "json"])).map(

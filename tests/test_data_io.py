@@ -117,6 +117,15 @@ def test_parse_chain_missing_file():
         parse_option_chain("/nonexistent/file.csv", spot=100.0)
 
 
+@pytest.mark.parametrize("kind", [str, Path])
+@pytest.mark.parametrize("read", [parse_return_series, lambda path: parse_option_chain(path, spot=100.0), read_surface],
+                         ids=["returns", "chain", "surface"])
+def test_a_path_holding_a_nul_byte_is_a_parse_error(read, kind):
+    # open() refuses it with ValueError, not OSError: the parsers are total over paths too
+    with pytest.raises(ParseError, match=re.escape("cannot open a\x00b: embedded null byte")):
+        read(kind("a\x00b"))
+
+
 def test_parse_chain_bytes_stream():
     text = chain_text(["2015-01-02,2015-03-20,200,call,10.0,10.5"])
     for stream in (io.BytesIO(text.encode()), io.StringIO(text)):
@@ -365,6 +374,15 @@ def test_write_surface_refuses_a_path_that_is_its_own_sidecar(tmp_path):
     # the sidecar is the path with suffix .json: written second, it would replace the surface CSV
     with pytest.raises(InputError, match="metadata sidecar"):
         write_surface(random_surface(np.random.default_rng(31)), tmp_path / "surface.json")
+    assert list(tmp_path.iterdir()) == []  # refused before anything is written
+
+
+@pytest.mark.parametrize("path", [".", "", "/", Path("."), Path("/")])
+def test_write_surface_refuses_a_path_with_no_file_name(path, tmp_path, monkeypatch):
+    # Path(".").with_suffix(".json") raises ValueError: the sidecar of a nameless path has no name either
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InputError, match="names no file"):
+        write_surface(random_surface(np.random.default_rng(31)), path)
     assert list(tmp_path.iterdir()) == []  # refused before anything is written
 
 

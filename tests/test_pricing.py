@@ -19,20 +19,7 @@ from predbs.pricing import (
     put_price,
 )
 import reference
-from reference import pde_residual
-
-
-def quadrature_call(spot, strike, tau, rate, sigma, q):
-    """Discounted lognormal expectation of the payoff: the independent pricing oracle."""
-    mu_log = (rate - q - 0.5 * sigma * sigma) * tau
-    sd = sigma * math.sqrt(tau)
-    z_star = (math.log(strike / spot) - mu_log) / sd
-
-    def integrand(z):
-        return (spot * math.exp(mu_log + sd * z) - strike) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-
-    value, _ = quad(integrand, z_star, np.inf, limit=200)
-    return math.exp(-rate * tau) * value
+from reference import pde_residual, quadrature_call
 
 
 # ------------------------------------------------------------- norm_cdf

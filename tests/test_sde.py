@@ -435,9 +435,30 @@ def test_mc_call_is_the_simulator_at_one_step(s0, strike, tau, rate, sigma, p):
     assert est.std_error == disc * float(np.std(payoff, ddof=1) / math.sqrt(500))
 
 
+@pytest.mark.parametrize("paths", [1, 2, 500, 65_536])
+def test_mc_call_draws_one_philox_normal_per_path(paths):
+    # path i reads only the i-th normal z_i of Philox(key=seed): S_T = F e^{sigma sqrt(tau) z_i - sigma^2 tau/2}
+    s0, strike, tau, rate, sigma, p, seed = 100.0, 95.0, 0.75, 0.02, 0.3, -0.4, 11
+    est = mc_risk_neutral_call(s0, strike, tau, rate, sigma, p, paths=paths, seed=seed)
+    z = np.random.Generator(np.random.Philox(key=seed)).standard_normal(paths)
+    fwd = s0 * math.exp((rate - p * sigma * sigma) * tau)
+    payoff = np.maximum(fwd * np.exp(sigma * math.sqrt(tau) * z - 0.5 * sigma * sigma * tau) - strike, 0.0)
+    disc = math.exp(-rate * tau)
+    assert est.price == disc * float(np.mean(payoff))
+    assert est.std_error == (disc * float(np.std(payoff, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+@pytest.mark.parametrize("paths", [-1, 0, 1 << 60])
+def test_mc_call_refuses_paths_outside_its_range_whatever_sigma(paths, sigma):
+    # the draw is at least one path and fewer than 2^60 float64s (numpy's 2^63 bytes), checked before sigma = 0's branch
+    with pytest.raises(InputError, match=r"paths >= 1 and < 2\*\*60, got tau = 1.0 and paths = "):
+        mc_risk_neutral_call(100.0, 100.0, 1.0, 0.05, sigma, 0.0, paths=paths)
+
+
 def test_mc_call_memory_is_the_one_batch():
-    # the payoff is formed in place over the simulator's log_return (7.6 MiB at 1M paths); a second
-    # paths-long array, such as the terminal prices s0 e^{log_return}, would bring the peak past 15 MiB
+    # the payoff is formed in place over the one paths-long draw (7.6 MiB at 1M paths); a second
+    # paths-long array, such as the terminal prices F e^{...}, would bring the peak past 15 MiB
     mc_risk_neutral_call(100.0, 100.0, 1.0, 0.05, 0.2, 0.0, paths=10)  # first-call allocations are not the pricer's
     tracemalloc.start()
     try:
@@ -535,8 +556,8 @@ def test_mc_call_far_out_of_the_money_is_zero_without_overflow():
 
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 def test_mc_call_at_zero_horizon_is_rejected_whatever_sigma(sigma):
-    # the config is checked before the closed-form branch for sigma = 0
-    with pytest.raises(InputError, match="horizon must be > 0"):
+    # tau is checked before the closed-form branch for sigma = 0
+    with pytest.raises(InputError, match="tau must be > 0"):
         mc_risk_neutral_call(100.0, 100.0, 0.0, 0.05, sigma, 0.0, paths=10)
 
 
