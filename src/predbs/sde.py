@@ -21,16 +21,23 @@ so Monte Carlo tests see statistical error only, never Euler bias: the
 offset-rule SDE with parameter a is the plain SDE with drift mu + a*sigma^2.
 
 Randomness comes from counter-based Philox streams keyed by the config
-seed, with path i owning row i of a fixed (paths, steps) draw layout, so
-batches are bit-reproducible and independent of any internal parallelism.
-The simulator draws that layout in blocks of whole rows, in O(paths + max(2^16, steps)) memory, and sums
-in fixed-order blocks of 2^16. The MC pricer draws one Philox normal per path and forms its payoff in place on it.
+seed.  The simulator splits its paths into blocks of R = max(1, 2^16 // steps)
+whole rows: block b holds paths [b R, (b+1) R) and draws its (rows, steps)
+normals from its own stream, Philox(key=seed).jumped(b), whose counter starts
+b 2^128 steps in, so block 0 is the seed's stream itself.  The blocks are
+drawn in parallel, one thread per CPU the process may run on; no block reads
+another's stream, so the batch is bit-identical however many threads draw it.
+Memory is O(paths + threads max(2^16, steps)); statistics sum in fixed-order
+blocks of 2^16.  The MC pricer draws one Philox normal per path from the
+seed's stream and forms its payoff in place on it: up to 2^16 paths this is
+the simulator's one-step draw, past that the simulator reads jumped streams.
 numpy is bound once, as the global np, and loads at the module's first numpy call: importing it loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -69,11 +76,15 @@ class _Numpy:
 np = _Numpy(globals())
 
 
-def _philox(seed: int) -> np.random.Generator:
-    """The Philox stream keyed by seed, the one draw source of the package; its key is an integer in [0, 2^128)."""
+def _philox(seed: int, stream: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by seed, the one draw source of the package; its key is an integer in [0, 2^128).
+
+    Stream b starts its 256-bit counter at b << 128, as Philox(key=seed).jumped(b) does: 2^128 counter steps past
+    stream b - 1, so the streams of one seed do not overlap.  Stream 0 is the seed's own.
+    """
     if not 0 <= seed < 1 << 128:
         raise InputError(f"seed must be in [0, 2^128), got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
 
 
 @dataclass(frozen=True)
@@ -142,12 +153,19 @@ def stratonovich_alpha_integral(theta: IntegrandPath, b: BrownianPath, alpha: fl
     """Offset-point integral sum_j theta(t_j (1-alpha) + alpha t_{j+1}) * dB_j.
 
     alpha = 0 is `ito_integral` (the offset times are exactly t_j); alpha = 1/2
-    is `stratonovich_half_integral`.
+    is `stratonovich_half_integral`.  A non-finite integrand value, or a sum past the float range, is refused.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must be in [0, 1], got {alpha}")
     t_off = b.times[:-1] * (1.0 - alpha) + alpha * b.times[1:]
-    return float(np.sum(np.asarray(theta.evaluator(t_off), dtype=float) * np.diff(b.values)))
+    values = np.asarray(theta.evaluator(t_off), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, refused below
+        total = float(np.sum(values * np.diff(b.values)))
+    if math.isfinite(total):  # the increments are finite: a non-finite value makes the sum non-finite
+        return total
+    if not np.all(np.isfinite(values)):
+        raise InputError("the integrand must be finite at every offset time")
+    raise InputError(f"the integral overflows the float range: max |integrand| = {float(np.max(np.abs(values)))}")
 
 
 def stratonovich_half_integral(theta: IntegrandPath, b: BrownianPath) -> float:
@@ -217,16 +235,36 @@ def simulate_stratonovich_alpha(cfg: PathSimConfig) -> PathBatch:
     """Simulate the offset-convention SDE: the plain SDE with drift mu + alpha*sigma^2.
 
     alpha = 0 is the left-point (Ito) SDE dS = mu S dt + sigma S dB.
-    The (paths, steps) draw comes in blocks of whole rows (path i owns row i): memory O(paths + max(2^16, steps)).
+    Block b of R = max(1, 2^16 // steps) whole rows (path i owns row i) draws from stream b of the seed, and the
+    blocks are filled in parallel, one worker per CPU the process may use: the result does not depend on how many.
+    Each worker reuses one block buffer: memory O(paths + workers max(2^16, steps)).
     """
     dt = cfg.horizon / cfg.steps
     inc_drift = cfg.log_drift * dt
     inc_vol = cfg.sigma * math.sqrt(dt)
-    rng, rows, log_return = _philox(cfg.seed), max(1, _BLOCK // cfg.steps), np.empty(cfg.paths)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, refused below
-        for i in range(0, cfg.paths, rows):
-            z = rng.standard_normal((min(rows, cfg.paths - i), cfg.steps))
-            log_return[i:i + rows] = np.sum(inc_drift + inc_vol * z, axis=1)
+    rows, log_return = max(1, _BLOCK // cfg.steps), np.empty(cfg.paths)
+    blocks = -(-cfg.paths // rows)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(blocks, cpus)
+
+    def fill(first: int) -> None:
+        """Blocks first, first + workers, ...; numpy releases the GIL in the draw, the arithmetic and the sums."""
+        z = np.empty((min(rows, cfg.paths), cfg.steps))
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread; an overflow reads inf or nan, refused below
+            for b in range(first, blocks, workers):
+                i = b * rows
+                zb = z[:min(rows, cfg.paths - i)]
+                _philox(cfg.seed, b).standard_normal(out=zb)
+                zb *= inc_vol
+                zb += inc_drift
+                np.sum(zb, axis=1, out=log_return[i:i + rows])
+
+    if workers == 1:
+        fill(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, range(workers)))  # a worker's exception is raised here
     if not -math.inf < log_return.min() <= log_return.max() < math.inf:  # False for NaN
         raise InputError("the simulated log-return overflows the float range: "
                          f"sigma sqrt(horizon) = {cfg.sigma * math.sqrt(cfg.horizon)}")

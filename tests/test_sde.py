@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -133,6 +134,29 @@ def test_alpha_integral_rejects_bad_alpha(fixture_path):
         stratonovich_alpha_integral(theta, fixture_path, -0.1)
 
 
+@pytest.mark.parametrize("integral", [
+    ito_integral, stratonovich_half_integral, lambda theta, b: stratonovich_alpha_integral(theta, b, 0.3),
+], ids=["ito", "half", "alpha"])
+@pytest.mark.parametrize("value, message", [
+    (1e308, r"integral overflows the float range: max \|integrand\| = 1e\+308"),  # 16 finite terms of 1e308
+    (-1e308, r"integral overflows the float range: max \|integrand\| = 1e\+308"),
+    (math.nan, "integrand must be finite at every offset time"),
+    (math.inf, "integrand must be finite at every offset time"),
+])
+def test_integral_past_the_float_range_or_of_a_non_finite_integrand_is_refused(integral, value, message):
+    b = BrownianPath(np.linspace(0.0, 1.0, 17), np.arange(17.0))  # unit increments
+    with pytest.raises(InputError, match=message):
+        integral(IntegrandPath(lambda t: np.full_like(t, value)), b)
+
+
+def test_integral_refuses_one_non_finite_value_where_the_increment_is_zero():
+    # nan * 0 is nan and inf * 0 is nan: a value over a flat step still reaches the sum
+    b = BrownianPath(np.linspace(0.0, 1.0, 5), np.array([0.0, 1.0, 1.0, 2.0, 3.0]))
+    for value in (math.nan, math.inf):
+        with pytest.raises(InputError, match="integrand must be finite"):
+            ito_integral(IntegrandPath(lambda t: np.where(t == 0.25, value, 1.0)), b)
+
+
 @pytest.mark.parametrize("with_fine", [False, True])
 def test_ito_of_recorded_path_is_the_left_point_sum(fixture_path, with_fine):
     # interpolation returns the recorded values at the nodes, so the Ito sum of
@@ -242,6 +266,15 @@ def test_simulated_log_return_past_the_float_range_is_refused(steps):
         simulate_stratonovich_alpha(cfg)
 
 
+def test_overflow_in_a_worker_thread_is_refused_not_warned(monkeypatch):
+    # three blocks of 16,384 rows on two workers: np.errstate does not pass into a new thread, so each worker
+    # sets its own, and the overflow reaches the caller as the refusal above (a RuntimeWarning is an error here)
+    _cpus(monkeypatch, 2)
+    cfg = PathSimConfig(mu=0.0, sigma=1.3e154, alpha=0.5, s0=1.0, horizon=1e308, steps=4, paths=40_000)
+    with pytest.raises(InputError, match="log-return overflows the float range"):
+        simulate_stratonovich_alpha(cfg)
+
+
 def test_std_error_is_zero_without_spread():
     # sigma sqrt(dt) z is below half an ulp of the drift step, so every path has the same
     # log-return; std(ddof=1) of them measured only the rounding of the mean (2.2e-19)
@@ -285,6 +318,24 @@ def test_alpha_sim_is_the_log_exact_scheme(alpha):
     assert np.array_equal(cfg.s0 * np.exp(simulate_stratonovich_alpha(cfg).log_return), expected)
 
 
+def _blocks_from_jumped_streams(cfg, sum_rows):
+    """Block b of R = max(1, 2^16 // steps) rows, drawn from Philox(key=seed).jumped(b), through sum_rows."""
+    rows = max(1, 2**16 // cfg.steps)
+    out = np.empty(cfg.paths)
+    for b, i in enumerate(range(0, cfg.paths, rows)):
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(b))
+        out[i:i + rows] = sum_rows(rng.standard_normal((min(rows, cfg.paths - i), cfg.steps)))
+    return out
+
+
+def _cpus(monkeypatch, n):
+    """Let the process run on n CPUs, as the simulator counts them."""
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 @pytest.mark.parametrize("steps, paths", [   # the simulator draws blocks of 2^16 // steps rows
     (252, 261),      # 260 rows a block: a ragged last block of one row
     (252, 1040),     # exactly four blocks
@@ -295,21 +346,41 @@ def test_simulator_is_one_draw_in_row_blocks(steps, paths):
     cfg = PathSimConfig(mu=0.07, sigma=0.3, alpha=0.4, s0=100.0, horizon=1.3,
                         steps=steps, paths=paths, seed=steps)
     dt = cfg.horizon / steps
-    z = np.random.Generator(np.random.Philox(key=steps)).standard_normal((paths, steps))
-    expected = np.sum(cfg.log_drift * dt + cfg.sigma * math.sqrt(dt) * z, axis=1)
+    expected = _blocks_from_jumped_streams(
+        cfg, lambda z: np.sum(cfg.log_drift * dt + cfg.sigma * math.sqrt(dt) * z, axis=1))
     assert simulate_stratonovich_alpha(cfg).log_return.tobytes() == expected.tobytes()
 
 
-def test_simulator_memory_does_not_grow_with_steps():
-    # one (4096, 4096) draw is 128 MB and its temporaries as much again; row blocks peak near 1 MB
+@pytest.mark.parametrize("steps, paths", [
+    (252, 261),      # two blocks
+    (1, 131073),     # three blocks, the last of one row
+    (64, 20_000),    # twenty blocks: each of eight workers takes two or three
+])
+def test_log_return_does_not_depend_on_the_cpu_count(monkeypatch, steps, paths):
+    cfg = PathSimConfig(mu=0.07, sigma=0.3, alpha=0.4, s0=100.0, horizon=1.3,
+                        steps=steps, paths=paths, seed=5)
+    got = {}
+    for n in (1, 2, 3, 8):
+        _cpus(monkeypatch, n)
+        got[n] = simulate_stratonovich_alpha(cfg).log_return.tobytes()
+    assert got[2] == got[1] and got[3] == got[1] and got[8] == got[1]
+
+
+def test_simulator_memory_does_not_grow_with_steps(monkeypatch):
+    # one (4096, 4096) draw is 128 MB and its temporaries as much again; each worker reuses one block
+    # buffer of 16 rows (0.5 MiB) and forms the block in place, so the peak is the 32 KiB log_return and
+    # 0.5 MiB a worker; one block-sized temporary a worker would add 0.5 MiB each
     cfg = PathSimConfig(mu=0.05, sigma=0.2, alpha=0.5, s0=100.0, horizon=1.0, steps=4096, paths=4096, seed=3)
-    tracemalloc.start()
-    try:
-        simulate_stratonovich_alpha(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    simulate_stratonovich_alpha(cfg)  # numpy loads numpy.random at its first use, about 1 MiB
+    for workers in (1, 2, 4):
+        _cpus(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            simulate_stratonovich_alpha(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 + 3 * workers) * 2**18
 
 
 @pytest.mark.parametrize("n", [2, 500, 65_536])
@@ -347,13 +418,13 @@ def test_log_return_is_the_offset_rule_stepped_directly(alpha):
     mu, sigma, horizon, steps, paths, seed = 0.05, 0.2, 1.0, 252, 20_000, 61
     cfg = PathSimConfig(mu=mu, sigma=sigma, alpha=alpha, s0=1.0, horizon=horizon, steps=steps, paths=paths,
                         seed=seed)
-    dt, rows = horizon / steps, 1000
-    rng, oracle = np.random.Generator(np.random.Philox(key=seed)), np.empty(paths)
-    for i in range(0, paths, rows):  # row i of the simulator's (paths, steps) draw drives path i
-        db = math.sqrt(dt) * rng.standard_normal((rows, steps))
-        oracle[i:i + rows] = np.sum(np.log1p(mu * dt + (1 - alpha) * sigma * db) - np.log1p(-alpha * sigma * db),
-                                    axis=1)
-    diff = oracle - simulate_stratonovich_alpha(cfg).log_return
+    dt = horizon / steps
+
+    def stepped(z):  # row i of the simulator's draws drives path i
+        db = math.sqrt(dt) * z
+        return np.sum(np.log1p(mu * dt + (1 - alpha) * sigma * db) - np.log1p(-alpha * sigma * db), axis=1)
+
+    diff = _blocks_from_jumped_streams(cfg, stepped) - simulate_stratonovich_alpha(cfg).log_return
     se = float(np.std(diff, ddof=1)) / math.sqrt(paths)
     bias = horizon * dt * (mu**2 / 2 + abs(mu) * sigma**2 + 0.75 * sigma**4)
     assert abs(float(np.mean(diff))) < 4.0 * se + bias
