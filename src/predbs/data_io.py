@@ -104,9 +104,9 @@ def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]], li
     """Read a CSV source into its header, its non-blank rows and the physical line each of those rows starts on.
 
     A path is opened and closed here; a stream is read to its end and left open.  Every source is read whole as
-    bytes (a text stream's str encoded as UTF-8) and decoded as UTF-8, so a decode fault names its offset in the
-    file, and a line ends at LF, CRLF or a bare CR.  Header cells are stripped of a leading byte-order mark, then
-    of whitespace.
+    bytes (a text stream's str encoded as UTF-8) and decoded as UTF-8 once, so a decode fault names its offset in
+    the file; the text is split where a line ends at LF, CRLF or a bare CR.  Header cells are stripped of a leading
+    byte-order mark, then of whitespace.
     """
     try:
         if isinstance(source, (str, Path)):
@@ -117,10 +117,8 @@ def _read_csv(source: Source, what: str) -> tuple[list[str], list[list[str]], li
                 raise ParseError(f"cannot open {source}: {exc}") from exc
         else:
             data = source.read()  # a text stream over undecodable bytes raises here
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        data.decode("utf-8")  # the reader below decodes in chunks, and would name a fault's offset in its chunk
-        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        text = (data.encode("utf-8") if isinstance(data, str) else data).decode("utf-8")
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{what}: file is empty")

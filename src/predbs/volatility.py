@@ -10,8 +10,8 @@ Four ways to put a number on sigma_t from daily data:
 
 All estimates carry both a daily and an annual figure linked by the
 calendar-day convention sigma_annual = sigma_daily * sqrt(365).  numpy is bound
-once, as the global np, and loads at the module's first numpy call; scipy loads at
-the optimizer's first call.  Importing this module loads neither; vix runs without them.
+once, as the global np, and loads at the module's first numpy call; the fit's solver,
+_sqp, loads at its first call.  Importing this module loads neither; vix runs without them.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ class _Workspace:
     """Buffers and views for the sigma^2 filter and the likelihood of `size` returns, made once: a fit evaluates every
     point in one.  Temporaries are written with out= by the formulas' float operations, in order, so bits match.
     value leaves its intermediates in the buffers, and gradient forms the gradient from them, so a caller that needs
-    the gradient at only some points (SLSQP's line search reads values alone) pays for it only there."""
+    the gradient at only some points (the solver's line search reads values alone) pays for it only there."""
 
     def __init__(self, size: int):
         n = size - 1
@@ -330,21 +330,19 @@ def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
 
 # The fit's feasible set: strictly inside _admissible, |phi| < 1, and the Gaussian limit eta = 0 included
 _BOUNDS = [(None, None), (-0.999999, 0.999999), (1e-12, None), (0.0, 1.0), (0.0, 1.0), (0.0, 1 / 2.05)]
-# alpha1 + beta1 <= ub = 0.999999 - 1e-9, as scipy forms LinearConstraint(A = (0, 0, 0, 1, 1, 0), -inf, ub) for SLSQP:
-# -(A x - ub), whose zero terms add exactly, and the row -A with its signed zeros
-_STATIONARITY = {"type": "ineq", "fun": lambda x: (0.999999 - 1e-9) - (x[3] + x[4]),
-                 "jac": lambda x, row=(-0.0, -0.0, -0.0, -1.0, -1.0, -0.0): row}
+# alpha1 + beta1 <= 0.999999 - 1e-9, strictly inside covariance stationarity, as (row, upper bound) for _sqp
+_STATIONARITY = ((0.0, 0.0, 0.0, 1.0, 1.0, 0.0), 0.999999 - 1e-9)
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call; benchmark/tracing.py wraps this module attribute."""
-    from scipy.optimize import minimize
+    """_sqp.minimize, the fit's SQP solver, imported on first call; benchmark/tracing.py wraps this module attribute."""
+    from ._sqp import minimize
     return minimize(*args, **kwargs)
 
 
 def fit_ar_garch(series: ReturnSeries) -> GarchParams:
-    """Maximize the Student-t conditional log-likelihood by SLSQP from one start (restarted once if it fails).
-    SLSQP runs on eta = 1/nu with the exact gradient (see _Workspace.value) inside _BOUNDS and _STATIONARITY, on returns
+    """Maximize the Student-t conditional log-likelihood by SQP (see _sqp) from one start (restarted once if it fails).
+    It runs on eta = 1/nu with the exact gradient (see _Workspace.value) inside _BOUNDS and _STATIONARITY, on returns
     standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  It
     reads the value at every point and the gradient only where it asks for one, formed from the buffers of the value
     at that point.  A fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is
@@ -362,7 +360,7 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     sd = math.sqrt(var)
     z = series.returns / sd
     (start,) = _starting_points(z)  # one start: a second would need a fit that runs from each
-    seen = [_PENALTY, start]  # the lowest value SLSQP evaluated, and where
+    seen = [_PENALTY, start]  # the lowest value the solver evaluated, and where
     workspace = _Workspace(z.size)  # for every evaluation of the fit, and for its log-likelihood
 
     def nll(x, r):
@@ -372,8 +370,8 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
         return value
 
     for _ in range(2):  # a run that does not converge restarts once, from the best point it evaluated
-        if minimize(nll, seen[1], args=(z,), jac=workspace.gradient, method="SLSQP", bounds=_BOUNDS,
-                    constraints=[_STATIONARITY], options=dict(maxiter=500, ftol=1e-12)).success:
+        if minimize(nll, seen[1], args=(z,), jac=workspace.gradient, bounds=_BOUNDS, row=_STATIONARITY,
+                    maxiter=500, ftol=1e-12).success:
             break
     if seen[0] >= _PENALTY:
         raise EstimationError("the optimizer found no parameters with a finite likelihood")

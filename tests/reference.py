@@ -91,7 +91,7 @@ def garch_log_likelihood(params: GarchParams, series: ReturnSeries) -> float:
 def neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     """The negative log-likelihood of the returns `r` at params (see _Workspace.value) and its gradient, evaluated in a
     _Workspace made for this call, value then gradient; fit_ar_garch evaluates every point in one that it keeps, and
-    forms the gradient only at the points where SLSQP asks for one."""
+    forms the gradient only at the points where its solver asks for one."""
     workspace = _Workspace(r.size)
     return workspace.value(params, r), workspace.gradient(params, r)
 

@@ -709,13 +709,14 @@ SURFACE_VIX = ["surface", "--chain", "{chain}", "--spot", "206.38", "--rate", "0
       ["diff-surface", "--base", "{tmp}/vix.csv", "--other", "{tmp}/vix20.csv", "--out", "{tmp}/diff.csv"]],
      ["numpy", "scipy.optimize"], []),
     ([["vol", "--method", "realized", "--returns", "{returns}"]], ["scipy.optimize"], ["numpy"]),
-], ids=["import", "simulate", "price", "calibrate", "surface-vix", "diff-surface", "vol-realized"])
+    ([["vol", "--method", "garch", "--returns", "{returns}"]], ["scipy", "scipy.optimize"], ["numpy", "predbs._sqp"]),
+], ids=["import", "simulate", "price", "calibrate", "surface-vix", "diff-surface", "vol-realized", "vol-garch"])
 def test_cli_leaves_scipy_optimize_unloaded(argvs, unloaded, loaded, fixtures_dir, tmp_path):
-    # scipy.optimize (about 0.2 s to import) and scipy.special are imported by
-    # the GARCH fit only, so the rest of the CLI, the paper's simulation check
-    # and the calibration solve included, starts without them.  numpy (about
-    # 30 ms) loads only where an array is made: not for the closed form, the
-    # calibration solve, a vix surface or a diff; the sigma estimators load it
+    # no predbs module imports scipy (about 0.6 s and 24 MB to import for the
+    # optimizer the GARCH fit used to call): the fit runs its own solver, which
+    # loads at the fit's first call.  numpy (about 30 ms) loads only where an
+    # array is made: not for the closed form, the calibration solve, a vix
+    # surface or a diff; the sigma estimators load it
     argvs = [[a.format(chain=fixtures_dir / "chain_2015_mimic.csv", tmp=tmp_path,
                        returns=fixtures_dir / "golden" / "returns.csv") for a in argv] for argv in argvs]
     probe = (
@@ -727,6 +728,21 @@ def test_cli_leaves_scipy_optimize_unloaded(argvs, unloaded, loaded, fixtures_di
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
     assert proc.stdout.split() == loaded
+
+
+def test_garch_vol_prints_its_golden_record_without_scipy(fixtures_dir):
+    # scipy is a test dependency only: with every import of it refused, the fit prints the golden record
+    golden = fixtures_dir / "golden"
+    step = json.loads((golden / "cli_outputs.json").read_text(encoding="utf-8"))["vol_garch_table"]["steps"][0]
+    argv = [a.format(returns=golden / "returns.csv") for a in step["argv"]]
+    probe = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # an import of scipy, or of any of its submodules, raises ImportError\n"
+        "import predbs.cli\n"
+        f"sys.exit(predbs.cli.main({argv!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
+    assert proc.stdout == step["stdout"]
 
 
 def _fresh_import(statement: str) -> str:

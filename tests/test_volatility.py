@@ -464,8 +464,8 @@ def test_a_gradient_is_the_same_whatever_the_workspace_last_evaluated(n, x, y):
         assert got.tobytes() == grad.tobytes()
 
 
-def test_a_fit_forms_the_gradient_only_where_slsqp_asks_for_one(monkeypatch):
-    # SLSQP's line search reads values alone: one gradient per njev, one value per nfev and one for the
+def test_a_fit_forms_the_gradient_only_where_the_solver_asks_for_one(monkeypatch):
+    # the solver's line search reads values alone: one gradient per njev, one value per nfev and one for the
     # reported log-likelihood, and no gradient re-evaluates its point
     calls, runs, minimize = {"value": 0, "gradient": 0}, [], volatility.minimize
 
