@@ -9,7 +9,9 @@ It is the GARCH fit's optimizer (volatility.fit_ar_garch).  Each iteration
 * backtracks along d until f falls by at least 0.1 of the decrease its slope predicts (the Armijo condition with
   SLSQP's fraction), each new step the minimizer of the quadratic through the last two values, kept in [0.1 t,
   0.5 t];
-* updates B by Powell-damped BFGS (ibid., procedure 18.2), from B = I.
+* updates B by Powell-damped BFGS (ibid., procedure 18.2), from the caller's B0 (the GARCH fit's is the BHHH
+  outer product of per-observation scores, as Bollerslev, J. Econometrics 31, 1986, fitted GARCH), or from B = I where
+  there is none or it is not finite and positive definite.
 
 B is held as its inverse in product form, B^-1 = Z'Z, so that it stays positive definite in floating point however
 ill-conditioned it grows, and each equality-constrained step is d = -B^-1 (g + C'lam), with lam from a system of one
@@ -45,16 +47,17 @@ class Result:
     success: bool
 
 
-def minimize(fun, x0, args, jac, bounds, row, maxiter: int, ftol: float) -> Result:
+def minimize(fun, x0, args, jac, bounds, row, maxiter: int, ftol: float, B0=None) -> Result:
     """Minimize fun(x, *args), whose gradient is jac(x, *args), over lo_i <= x_i <= hi_i (bounds: (lo, hi) pairs, None
-    where there is none) and a @ x <= ub (row: (a, ub), a >= 0 and not all zero), from x0 moved into that set."""
+    where there is none) and a @ x <= ub (row: (a, ub), a >= 0 and not all zero), from x0 moved into that set, with
+    B0 (None for I) the first model of the Hessian."""
     lo = np.array([-math.inf if b is None else b for b, _ in bounds])
     hi = np.array([math.inf if b is None else b for _, b in bounds])
     a, ub = np.array(row[0], dtype=float), row[1]
     x = _onto_row(np.clip(np.asarray(x0, dtype=float), lo, hi), lo, a, ub)
     f, g, nfev, njev = fun(x, *args), jac(x, *args), 1, 1
     n, a_list, row_tol = x.size, a.tolist(), 4.0 * math.ulp(max(abs(ub), 1.0))  # a few rounding errors of a @ x
-    Z, resets = np.eye(n), 0
+    Z, resets = _inverse_factor(B0, n), 0
     for nit in range(1, maxiter + 1):
         lower, upper, slack = lo - x, hi - x, ub - float(a @ x)
         H = Z.T @ Z
@@ -94,6 +97,20 @@ def minimize(fun, x0, args, jac, bounds, row, maxiter: int, ftol: float) -> Resu
         if abs(change) < ftol:
             return Result(x, f, nfev, njev, nit, True)
     return Result(x, f, nfev, njev, maxiter, False)
+
+
+def _inverse_factor(B0, n: int) -> np.ndarray:
+    """Z = L^-1 for B0 = LL', so that Z'Z = B0^-1; I where B0 is None, has an entry that is not finite, or is not
+    positive definite enough for Cholesky to factor it and L to invert."""
+    if B0 is not None and np.isfinite(B0).all():
+        try:
+            Z = np.linalg.inv(np.linalg.cholesky(B0))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.isfinite(Z).all():
+                return Z
+    return np.eye(n)
 
 
 def _onto_row(y: np.ndarray, lo: np.ndarray, a: np.ndarray, ub: float) -> np.ndarray:

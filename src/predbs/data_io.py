@@ -239,37 +239,58 @@ def _meta_path(path: Union[str, Path]) -> Path:
     return Path(path).with_suffix(".json")
 
 
-@contextmanager
-def _overwrite(path: Union[str, Path]) -> Iterator[TextIO]:
-    """Text output over the old bytes of `path`; on exit, even a failed one, a regular file is cut to length.
+def _open_over(path: Union[str, Path]) -> TextIO:
+    """Text output over the old bytes of `path`, which stay until written over (see _cut_to_length).
 
     This skips the O_TRUNC of open(path, "w"): on ext4 mounted with discard it costs 30-60 ms at any size."""
-    with open(path, "w", encoding="utf-8", newline="\n",
-              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
-        try:
-            yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+    return open(path, "w", encoding="utf-8", newline="\n",
+                opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666))
+
+
+@contextmanager
+def _cut_to_length(fh: TextIO) -> Iterator[TextIO]:
+    """fh; on exit, even a failed one, a regular file is cut to the length written."""
+    try:
+        yield fh
+    finally:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
+@contextmanager
+def _overwrite(path: Union[str, Path]) -> Iterator[TextIO]:
+    """Text output over the old bytes of `path`, cut to length on exit, even a failed one (see _open_over)."""
+    with _open_over(path) as fh, _cut_to_length(fh):
+        yield fh
 
 
 def write_surface(surface: PredictabilitySurface, path: Union[str, Path]) -> None:
     """Write surface CSV plus a JSON metadata sidecar (same stem, .json), each overwritten in place
     and cut to length; like a truncating open(path, "w"), that is not atomic.  A .json path is refused,
-    since the sidecar would overwrite it, and so is a path with no file name, such as "." or "/"."""
+    since the sidecar would overwrite it, and so is a path with no file name, such as "." or "/".
+    The sidecar is opened first and written last: one that cannot be opened leaves the CSV as it was,
+    and a CSV that cannot be opened or written leaves the sidecar as it was (or absent, where it was)."""
     if not Path(path).name:
         raise InputError(f"surface path {path} names no file")
-    if _meta_path(path) == Path(path):
+    meta_path = _meta_path(path)
+    if meta_path == Path(path):
         raise InputError(f"surface path {path} ends in .json, the metadata sidecar's own name")
-    with _overwrite(path) as fh:
-        fh.write(",".join(SURFACE_HEADER) + "\n")
-        fh.writelines(_SURFACE_ROW % cells for cells in map(_SURFACE_CELLS, surface.points))
-    meta = {"method": surface.method, "spot": surface.spot, "rate": surface.rate,
-            "as_of": surface.as_of.isoformat() if surface.as_of else None,
-            "points": len(surface.points), "failures": list(surface.failures)}
-    with _overwrite(_meta_path(path)) as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fresh = not os.path.lexists(meta_path)
+    with _open_over(meta_path) as sidecar:
+        try:
+            with _overwrite(path) as fh:
+                fh.write(",".join(SURFACE_HEADER) + "\n")
+                fh.writelines(_SURFACE_ROW % cells for cells in map(_SURFACE_CELLS, surface.points))
+        except BaseException:
+            if fresh:
+                os.unlink(meta_path)
+            raise
+        meta = {"method": surface.method, "spot": surface.spot, "rate": surface.rate,
+                "as_of": surface.as_of.isoformat() if surface.as_of else None,
+                "points": len(surface.points), "failures": list(surface.failures)}
+        with _cut_to_length(sidecar):
+            json.dump(meta, sidecar, indent=2, sort_keys=True)
+            sidecar.write("\n")
 
 
 def read_surface(path: Union[str, Path]) -> PredictabilitySurface:

@@ -175,16 +175,19 @@ class GarchParams:
 
 
 def _passes(y: np.ndarray, tmp: np.ndarray) -> list[tuple]:
-    """The views (d, y[d:], y[:-d], tmp[:y.size - d]) of each pass of _scan over y, at d = 1, 2, 4, ... < y.size."""
-    return [(d, y[d:], y[:-d], tmp[:y.size - d]) for d in (1 << k for k in range((y.size - 1).bit_length()))]
+    """The views (d, y[..., d:], y[..., :-d], tmp[..., :n - d]) of each pass of _scan over y's last axis, of length n,
+    at d = 1, 2, 4, ... < n."""
+    n = y.shape[-1]
+    return [(d, y[..., d:], y[..., :-d], tmp[..., :n - d]) for d in (1 << k for k in range((n - 1).bit_length()))]
 
 
 def _scan(y: np.ndarray, b: float, passes: list[tuple]) -> np.ndarray:
-    """The recurrence y_t = x_t + b y_{t-1} (y_0 = x_0) over x = y, in place, as a doubling scan (Hillis & Steele).
+    """The recurrence y_t = x_t + b y_{t-1} (y_0 = x_0) along y's last axis over x = y, in place, as a doubling scan
+    (Hillis & Steele).
 
-    After the pass at d, y_t holds sum_{k < 2d} b^k x_{t-k}; passes run at d = 1, 2, 4, ... until d >= y.size or
-    b^d underflows to 0.  Each multiplier is b ** d (within 1 ulp), not repeated squaring (which doubles the error
-    each time).  `passes` is _passes(y, tmp).  Overflow is left as inf or nan, under the caller's np.errstate.
+    After the pass at d, y_t holds sum_{k < 2d} b^k x_{t-k}; passes run at d = 1, 2, 4, ... until d >= the axis'
+    length or b^d underflows to 0.  Each multiplier is b ** d (within 1 ulp), not repeated squaring (which doubles the
+    error each time).  `passes` is _passes(y, tmp).  Overflow is left as inf or nan, under the caller's np.errstate.
     """
     for d, head, lag, tmp in passes:
         if (c := b ** d) == 0.0:
@@ -218,7 +221,7 @@ def _t_constant(eta: float) -> tuple[float, float]:
 class _Workspace:
     """Buffers and views for the sigma^2 filter and the likelihood of `size` returns, made once: a fit evaluates every
     point in one.  Temporaries are written with out= by the formulas' float operations, in order, so bits match.
-    value leaves its intermediates in the buffers, and gradient forms the gradient from them, so a caller that needs
+    value leaves its intermediates in the buffers, and gradient and bhhh form theirs from them, so a caller that needs
     the gradient at only some points (the solver's line search reads values alone) pays for it only there."""
 
     def __init__(self, size: int):
@@ -279,41 +282,52 @@ class _Workspace:
                 m, np.divide(log1p_u, u, out=t1, where=np.greater(u, 0, out=self.mask)))
         return (-ll, dconst) if math.isfinite(ll) else penalty
 
+    def _last_at(self, params: np.ndarray, r: np.ndarray) -> tuple:
+        """self.last, after a value call at params on r where the buffers hold another point's (bit for bit) or series'
+        intermediates."""
+        if self.last is None or self.last[0] != params.tobytes() or self.last[1] is not r:
+            self.value(params, r)
+        return self.last
+
+    def _terms(self, eta: float) -> tuple[np.ndarray, ...]:
+        """The per-observation terms gradient sums, formed into the buffers from those of the last value: w = (1 + eta)
+        m / (1 + u), with d ll_t / d sigma^2_t = (w_t - 1) / (2 sigma^2_t); e_t = d ll_t / d eps_t through eps_t alone;
+        and p, z and Q of the eta term, -m^2 R'(u)/2 = (m/(2 + u))^2 (1/(1 + z) + z Q), z = u/(2 + u),
+        Q = (atanh z - z)/z^3 or its series at small z."""
+        eps, eps2, d, m, u, t1, t2 = self.eps, self.eps2, self.d, self.m, self.u, self.t1, self.t2
+        w = np.divide(np.multiply(m, 1.0 + eta, out=self.w), np.add(u, 1.0, out=t1), out=self.w)
+        e = np.divide(np.multiply(eps, -(1.0 + eta), out=self.e),
+                      np.add(d, np.multiply(eps2, eta, out=t1), out=t1), out=self.e)
+        p = np.divide(m, np.add(u, 2.0, out=t1), out=self.p)
+        z = np.multiply(p, eta, out=self.z)
+        z2 = np.multiply(z, z, out=self.z2)
+        q = self.q  # the series 1/3 + z2 (1/5 + z2 (1/7 + z2 / 9)), then Q where z > 0.025
+        np.add(np.divide(z2, 9, out=q), 1 / 7, out=q)
+        np.add(np.multiply(z2, q, out=q), 1 / 5, out=q)
+        np.add(np.multiply(z2, q, out=q), 1 / 3, out=q)
+        np.divide(np.subtract(np.multiply(self.log1p_u, 0.5, out=t1), z, out=t1), np.multiply(z2, z, out=t2), out=q,
+                  where=np.greater(z, 0.025, out=self.mask))
+        return w, e, p, z, q
+
     def gradient(self, params: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The exact gradient of the negative log-likelihood at params (see value), zero at a penalty point:
         g_t = d ll / d sigma^2_t obeys the sigma^2 filter run backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.  It is
         formed from the intermediates of the last value call, which runs first if that call was at another point
         (bit for bit) or series, so the result does not depend on the order of calls.  Entries past the float range
         (a sigma^2 path far below the residuals, outside the fit's _BOUNDS) read inf or nan."""
-        if self.last is None or self.last[0] != params.tobytes() or self.last[1] is not r:
-            self.value(params, r)
-        _, _, x, dconst = self.last
+        _, _, x, dconst = self._last_at(params, r)
         if dconst is None:
             return np.zeros(6)
         a1, b1, eta = x[3:]
-        eps, eps2, s2, d, m, u, log1p_u = self.eps, self.eps2, self.s2_now, self.d, self.m, self.u, self.log1p_u
-        g, g_tail, t1, t2 = self.g, self.g_tail, self.t1, self.t2
+        eps, eps2, s2, g, g_tail, t1, t2 = self.eps, self.eps2, self.s2_now, self.g, self.g_tail, self.t1, self.t2
         with np.errstate(over="ignore", invalid="ignore"):
-            w = np.divide(np.multiply(m, 1.0 + eta, out=self.w), np.add(u, 1.0, out=t1), out=self.w)
+            w, e, p, z, q = self._terms(eta)
             # the adjoint runs the filter backwards, scanned as a reversed copy: numpy is slower on negative strides
             gr = np.multiply(np.subtract(self.w_rev, 1.0, out=self.gr), 0.5, out=self.gr)
             _scan(np.divide(gr, self.s2_rev, out=gr), b1, self.g_passes)
             # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t, and s2_init = mean(eps^2)
-            e = np.divide(np.multiply(eps, -(1.0 + eta), out=self.e),
-                          np.add(d, np.multiply(eps2, eta, out=t1), out=t1), out=self.e)
             np.add(e, np.multiply(eps, 2.0 * g[0] / eps.size, out=t1), out=e)
             e[:-1] += np.multiply(np.multiply(eps[:-1], 2.0 * a1, out=self.t1_head), g_tail, out=self.t1_head)
-            # eta: -m^2 R'(u)/2 = (m/(2 + u))^2 (1/(1 + z) + z Q), z = u/(2 + u),
-            # Q = (atanh z - z)/z^3 or its series at small z
-            p = np.divide(m, np.add(u, 2.0, out=t1), out=self.p)
-            z = np.multiply(p, eta, out=self.z)
-            z2 = np.multiply(z, z, out=self.z2)
-            q = self.q  # the series 1/3 + z2 (1/5 + z2 (1/7 + z2 / 9)), then Q where z > 0.025
-            np.add(np.divide(z2, 9, out=q), 1 / 7, out=q)
-            np.add(np.multiply(z2, q, out=q), 1 / 5, out=q)
-            np.add(np.multiply(z2, q, out=q), 1 / 3, out=q)
-            np.divide(np.subtract(np.multiply(log1p_u, 0.5, out=t1), z, out=t1), np.multiply(z2, z, out=t2), out=q,
-                      where=np.greater(z, 0.025, out=self.mask))
             self.g_next[...] = g_tail  # g_2..g_T in order: np.dot would copy the reversed view to call BLAS
             return -np.array([
                 -e.sum(), -np.dot(e, r[:-1]),  # mu0, phi
@@ -322,6 +336,40 @@ class _Workspace:
                     np.divide(1.0, np.add(z, 1.0, out=t1), out=t1), np.multiply(z, q, out=q), out=t1))
                 - 1.5 * w.sum() / ((1.0 + eta) * (1.0 - 2.0 * eta)),
             ])
+
+    def bhhh(self, params: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The outer product sum_t s_t s_t' of the per-observation scores s_t = d ll_t / d params at params (Berndt,
+        Hall, Hall & Hausman, Ann. Econ. Soc. Meas. 3, 1974), zero at a penalty point: positive semidefinite, and near
+        the optimum of a well-specified model close to the negative log-likelihood's Hessian.  The sensitivities
+        d sigma^2_t / d(mu0, phi, omega, a1, b1) obey the sigma^2 filter's own recurrence with multiplier b1, so all
+        five run as one _scan; to them s_t adds eps_t's own terms and the eta term whose sums gradient forms.  Like
+        gradient, it reads the intermediates of the last value call, which runs first if that was elsewhere."""
+        _, _, x, dconst = self._last_at(params, r)
+        if dconst is None:
+            return np.zeros((6, 6))
+        a1, b1, eta = x[3:]
+        eps, n = self.eps, self.eps.size
+        scores = np.empty((6, n + 1))  # column t: s_t, the last (sigma^2_{T+1}, the forecast, in no ll_t) zero
+        ds2, lag = scores[:5], r[:-1]  # d sigma^2_t / d(mu0, phi, omega, a1, b1), t = 1..T+1
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, e, p, z, q = self._terms(eta)
+            # sigma^2_1 = mean(eps^2), then omega + a1 eps^2_t + b1 sigma^2_t; d eps_t / d(mu0, phi) = -(1, r_{t-1})
+            ds2[:, 0] = -2.0 * eps.sum() / n, -2.0 * np.dot(eps, lag) / n, 0.0, 0.0, 0.0
+            np.multiply(eps, -2.0 * a1, out=ds2[0, 1:])
+            np.multiply(ds2[0, 1:], lag, out=ds2[1, 1:])
+            ds2[2, 1:], ds2[3, 1:], ds2[4, 1:] = 1.0, self.eps2, self.s2_now
+            _scan(ds2, b1, _passes(ds2, np.empty_like(ds2)))
+            ds2[:, :-1] *= np.divide(np.multiply(np.subtract(w, 1.0, out=self.t1), 0.5, out=self.t1), self.s2_now,
+                                     out=self.t1)  # d ll_t / d sigma^2_t
+            scores[0, :-1] -= e
+            scores[1, :-1] -= np.multiply(e, lag, out=self.t1)
+            eta_t = scores[5, :-1]
+            np.add(np.divide(1.0, np.add(z, 1.0, out=self.t1), out=self.t1), np.multiply(z, q, out=q), out=eta_t)
+            eta_t *= np.multiply(p, p, out=self.t2)
+            eta_t -= np.multiply(w, 1.5 / ((1.0 + eta) * (1.0 - 2.0 * eta)), out=self.t1)
+            eta_t += dconst
+            scores[:, -1] = 0.0
+            return scores @ scores.T
 
 
 def _starting_points(r_scaled: np.ndarray) -> list[np.ndarray]:
@@ -343,9 +391,11 @@ def minimize(*args, **kwargs):
 def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     """Maximize the Student-t conditional log-likelihood by SQP (see _sqp) from one start (restarted once if it fails).
     It runs on eta = 1/nu with the exact gradient (see _Workspace.value) inside _BOUNDS and _STATIONARITY, on returns
-    standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  It
-    reads the value at every point and the gradient only where it asks for one, formed from the buffers of the value
-    at that point.  A fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is
+    standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  Each
+    run's first model of the Hessian is the BHHH matrix at its first point (see _Workspace.bhhh), which puts the
+    parameters' curvatures, orders of magnitude apart, in scale: a fit on garch-vol's inputs takes about 14 values
+    from it, 35 from B = I.  It reads the value at every point and the gradient only where it asks for one, formed from the buffers of the
+    value at that point.  A fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is
     evaluated at the returned parameters on the unscaled returns."""
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
@@ -371,7 +421,7 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
 
     for _ in range(2):  # a run that does not converge restarts once, from the best point it evaluated
         if minimize(nll, seen[1], args=(z,), jac=workspace.gradient, bounds=_BOUNDS, row=_STATIONARITY,
-                    maxiter=500, ftol=1e-12).success:
+                    maxiter=500, ftol=1e-12, B0=workspace.bhhh(seen[1], z)).success:
             break
     if seen[0] >= _PENALTY:
         raise EstimationError("the optimizer found no parameters with a finite likelihood")

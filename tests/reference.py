@@ -96,6 +96,23 @@ def neg_loglik(params: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     return workspace.value(params, r), workspace.gradient(params, r)
 
 
+def log_likelihood_terms(params: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The conditional log-likelihoods ll_1..ll_T of the returns `r` at params x = (mu0, phi, omega, a1, b1,
+    eta = 1/nu), whose sum is -neg_loglik(x, r)[0]: the unit-variance Student-t density written out with lgamma (the
+    normal density at eta = 0), and the sigma^2 filter run as a plain loop from sigma^2_1 = mean(eps^2)."""
+    mu0, phi, omega, a1, b1, eta = map(float, params)
+    eps = (r[1:] - mu0 - phi * r[:-1]).tolist()
+    s2 = [sum(e * e for e in eps) / len(eps)]
+    for e in eps[:-1]:
+        s2.append(omega + a1 * e * e + b1 * s2[-1])
+    if eta == 0:
+        return np.array([-0.5 * math.log(2 * math.pi * v) - e * e / (2 * v) for e, v in zip(eps, s2)])
+    nu = 1 / eta
+    c = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(math.pi * (nu - 2))
+    return np.array([c - 0.5 * math.log(v) - (nu + 1) / 2 * math.log1p(e * e / ((nu - 2) * v))
+                     for e, v in zip(eps, s2)])
+
+
 def simulate_ar_garch(params: GarchParams, n: int, seed: int, start: Optional[date] = None) -> ReturnSeries:
     """Simulate the AR-GARCH process from its stationary level (oracle for re-estimation tests).
 

@@ -278,6 +278,15 @@ def test_surface_out_with_no_file_name_is_domain_error(out, fixtures_dir, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_surface_with_a_sidecar_that_cannot_be_opened_writes_no_csv(fixtures_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").mkdir()
+    code, stdout, _ = run_cli(capsys, "surface", "--chain", str(fixtures_dir / "chain_2015_mimic.csv"), "--spot",
+                              "206.38", "--rate", "0.0212", "--method", "vix", "--vix", "15", "--out", "s.csv")
+    assert code == 1 and stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
 def test_main_reports_an_exhausted_memory_as_domain_error(monkeypatch, capsys):
     from predbs import sde
 

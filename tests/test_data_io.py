@@ -660,6 +660,35 @@ def test_failed_write_leaves_a_prefix_and_no_stale_tail(tmp_path):
     assert out.read_bytes() == b"".join(expected.splitlines(keepends=True)[:10])
 
 
+@pytest.mark.parametrize("old", [None, b"9" * 10_000], ids=["absent", "old"])
+def test_a_sidecar_that_cannot_be_opened_leaves_the_csv_as_it_was(tmp_path, old):
+    (tmp_path / "s.json").mkdir()
+    out = tmp_path / "s.csv"
+    if old is not None:
+        out.write_bytes(old)
+    with pytest.raises(IsADirectoryError):
+        write_surface(_SURFACE, out)
+    assert (out.read_bytes() if out.exists() else None) == old
+
+
+@pytest.mark.parametrize("fault", ["open", "write"])
+@pytest.mark.parametrize("old", [None, b"9" * 10_000], ids=["absent", "old"])
+def test_a_csv_that_cannot_be_written_leaves_the_sidecar_as_it_was(tmp_path, fault, old):
+    # the sidecar is opened before the CSV, and cut to length only once written
+    sidecar, out = tmp_path / "s.json", tmp_path / "s.csv"
+    if old is not None:
+        sidecar.write_bytes(old)
+    if fault == "open":
+        out.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_surface(_SURFACE, out)
+    else:
+        points = _SURFACE.points[:9] + (_UnreadablePoint(),) + _SURFACE.points[10:]
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            write_surface(SimpleNamespace(points=points), out)
+    assert (sidecar.read_bytes() if sidecar.exists() else None) == old
+
+
 _FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POINTS = st.builds(

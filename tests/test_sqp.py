@@ -14,6 +14,7 @@ UB = _STATIONARITY[1]
 LO = np.array([-math.inf if lo is None else lo for lo, _ in _BOUNDS])
 HI = np.array([math.inf if hi is None else hi for _, hi in _BOUNDS])
 # curvatures of the order of the likelihood's on standardized returns, and far from B = I, the solver's first model
+# where the caller gives none
 WEIGHTS = np.array([1e4, 3e5, 1e7, 5e4, 2e4, 8e5])
 START = np.array([0.3, 0.1, 0.5, 0.05, 0.9, 0.125])
 
@@ -65,12 +66,16 @@ def test_a_quadratic_reaches_its_closed_form_minimizer_at_a_feasible_point(case)
     assert np.max(np.abs(res.x - want)) <= 2e-7, res.x - want
 
 
+def coupled_weights():
+    """A strictly convex quadratic's Hessian that couples every coordinate, with curvatures of the order of WEIGHTS."""
+    root = np.random.Generator(np.random.Philox(key=39)).normal(size=(6, 6)) * np.sqrt(WEIGHTS)
+    return root.T @ root + np.diag(WEIGHTS)
+
+
 def test_a_start_on_several_constraints_ends_at_the_minimizer():
     # phi at its lower bound, beta1 and eta at theirs and alpha1 + beta1 on the row: the working set must shed them,
     # under weights that couple every coordinate, without cycling
-    rng = np.random.Generator(np.random.Philox(key=39))
-    root = rng.normal(size=(6, 6)) * np.sqrt(WEIGHTS)
-    weights = root.T @ root + np.diag(WEIGHTS)
+    weights = coupled_weights()
     centre = np.array([0.01, 0.2, 0.3, 0.1, 0.6, 0.2])
     counts = {"value": 0, "gradient": 0}
     value, gradient = quadratic(weights, centre, counts)
@@ -79,6 +84,32 @@ def test_a_start_on_several_constraints_ends_at_the_minimizer():
     assert res.success and res.nit <= 50
     assert_feasible(res.x)
     assert res.fun <= 1e-10
+
+
+def test_a_model_started_at_the_exact_hessian_steps_to_an_interior_minimizer_at_once():
+    # the first step is Newton's, -B0^-1 g, and lands on the minimizer to rounding; the second iteration's model
+    # then predicts no decrease, so the run ends with two values and two gradients, at the start and the minimizer
+    weights, centre = coupled_weights(), np.array(CASES["interior"][0])
+    counts = {"value": 0, "gradient": 0}
+    value, gradient = quadratic(weights, centre, counts)
+    res = _sqp.minimize(value, START, (), gradient, _BOUNDS, _STATIONARITY, 500, 1e-12, B0=weights)
+    assert res.success and (res.nfev, res.njev, res.nit) == (2, 2, 2) == (counts["value"], counts["gradient"], 2)
+    assert res.fun <= 1e-20 and np.max(np.abs(res.x - centre)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", ["negative definite", "indefinite", "singular", "nan", "inf"])
+def test_a_first_model_that_is_not_finite_and_positive_definite_is_the_identity(bad):
+    weights = coupled_weights()
+    B0 = {"negative definite": -weights, "indefinite": weights - 2 * weights[0, 0] * np.eye(6),
+          "singular": np.outer(weights[0], weights[0]), "nan": weights.copy(), "inf": weights.copy()}[bad]
+    if bad in ("nan", "inf"):
+        B0[2, 3] = B0[3, 2] = math.nan if bad == "nan" else math.inf
+    runs = []
+    for model in (None, B0):
+        value, gradient = quadratic(weights, np.array(CASES["row"][0]), {"value": 0, "gradient": 0})
+        runs.append(_sqp.minimize(value, START, (), gradient, _BOUNDS, _STATIONARITY, 500, 1e-12, B0=model))
+    want, got = ((run.x.tobytes(), run.fun, run.nfev, run.njev, run.nit, run.success) for run in runs)
+    assert got == want
 
 
 def s150(i):

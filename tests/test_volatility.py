@@ -25,7 +25,7 @@ from predbs.volatility import (
     vix_to_sigma,
 )
 from predbs.volatility import _BOUNDS, _Workspace, _admissible, _passes, _scan, _starting_points, _t_constant
-from reference import garch_log_likelihood, neg_loglik, simulate_ar_garch, unconditional_variance
+from reference import garch_log_likelihood, log_likelihood_terms, neg_loglik, simulate_ar_garch, unconditional_variance
 
 
 def make_series(returns):
@@ -339,19 +339,37 @@ def test_neg_loglik_gradient_is_zero_at_penalty():
     value, grad = neg_loglik(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 1 / 6]), r)
     assert value == 1e10
     assert not np.any(grad)
+    assert not np.any(_Workspace(r.size).bhhh(np.array([0.0, 0.0, 0.01, 0.5, 0.5, 1 / 6]), r))
 
 
-def loop_log_likelihood(params, r):
-    """The Student-t conditional log-likelihood written out one observation at a time."""
-    nu = params.nu
-    const = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(math.pi * (nu - 2))
-    eps = [r[t] - params.mean - params.ar1 * r[t - 1] for t in range(1, len(r))]
-    s2 = sum(e * e for e in eps) / len(eps)
-    ll = 0.0
-    for e in eps:
-        ll += const - 0.5 * math.log(s2) - 0.5 * (nu + 1) * math.log1p(e * e / (s2 * (nu - 2)))
-        s2 = params.omega + params.alpha1 * e * e + params.beta1 * s2
-    return ll
+@pytest.mark.parametrize("x", [
+    [0.03, 0.0, 0.02, 0.08, 0.90, 1 / 6],         # interior
+    [0.03, 0.0, 0.002, 0.10, 0.89999, 1 / 6],     # alpha1 + beta1 -> 1
+    [0.03, 0.0, 0.05, 0.10, 0.85, 1 / 2.0501],    # nu near the fit's 2.05 bound
+    [-0.02, 0.35, 0.03, 0.12, 0.80, 1 / 9],       # phi != 0
+    [0.03, 0.1, 0.05, 0.10, 0.85, 0.0],           # the Gaussian limit
+])
+def test_the_bhhh_matrix_is_the_outer_product_of_the_per_observation_scores(x):
+    # s_t = d ll_t / d x from 5-point stencils on the reference's per-observation log-likelihood; eta = 0 is the
+    # feasible set's edge, so there the stencil is one-sided (forward, also 4th order)
+    r = standardized(simulate_ar_garch(
+        GarchParams(ar1=0.1, mean=2e-4, omega=2e-6, alpha1=0.08, beta1=0.9, nu=5.0), n=400, seed=21))
+    x = np.array(x)
+    scores = []
+    for k in range(6):
+        if x[k] == 0.0 and k == 5:
+            h = 1e-4
+            f = [log_likelihood_terms(x + j * h * np.eye(6)[k], r) for j in range(5)]
+            scores.append((-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h))
+        else:
+            h = 1e-5 * max(abs(x[k]), 1e-2)
+            f = [log_likelihood_terms(x + j * h * np.eye(6)[k], r) for j in (-2, -1, 1, 2)]
+            scores.append((f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h))
+    want = np.array(scores) @ np.array(scores).T
+    got = _Workspace(r.size).bhhh(x, r)
+    # each entry to 1e-6 of the Cauchy-Schwarz bound sqrt(B_jj B_kk) on it; the stencils are good to about 1e-8
+    assert np.all(np.abs(got - want) <= 1e-6 * np.sqrt(np.outer(np.diag(want), np.diag(want))))
+    assert np.array_equal(got, got.T)
 
 
 @pytest.mark.parametrize("params", [
@@ -363,7 +381,7 @@ def loop_log_likelihood(params, r):
 def test_log_likelihood_is_the_likelihood_everywhere_admissible(params):
     series = simulate_ar_garch(TRUE_PARAMS, n=500, seed=9)
     assert garch_log_likelihood(params, series) == pytest.approx(
-        loop_log_likelihood(params, series.returns.tolist()), rel=1e-9)
+        log_likelihood_terms(params._vector(), series.returns).sum(), rel=1e-9)
 
 
 def test_log_likelihood_rejects_a_zero_variance_path():
@@ -465,9 +483,10 @@ def test_a_gradient_is_the_same_whatever_the_workspace_last_evaluated(n, x, y):
 
 
 def test_a_fit_forms_the_gradient_only_where_the_solver_asks_for_one(monkeypatch):
-    # the solver's line search reads values alone: one gradient per njev, one value per nfev and one for the
-    # reported log-likelihood, and no gradient re-evaluates its point
-    calls, runs, minimize = {"value": 0, "gradient": 0}, [], volatility.minimize
+    # the solver's line search reads values alone: one gradient per njev, one value per nfev, one for the BHHH
+    # matrix each run starts from and one for the reported log-likelihood, and no gradient re-evaluates its point;
+    # the line search backtracks 4 times on this series (22 values, 18 gradients), so that njev < nfev
+    calls, runs, minimize = {"value": 0, "gradient": 0, "bhhh": 0}, [], volatility.minimize
 
     class Workspace(volatility._Workspace):
         def value(self, *args):
@@ -478,15 +497,30 @@ def test_a_fit_forms_the_gradient_only_where_the_solver_asks_for_one(monkeypatch
             calls["gradient"] += 1
             return super().gradient(*args)
 
+        def bhhh(self, *args):
+            calls["bhhh"] += 1
+            return super().bhhh(*args)
+
     def traced(*args, **kwargs):
         runs.append(minimize(*args, **kwargs))
         return runs[-1]
 
     monkeypatch.setattr(volatility, "_Workspace", Workspace)
     monkeypatch.setattr(volatility, "minimize", traced)
-    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=2_000, seed=3))
+    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=2_000, seed=17))
     nfev, njev = sum(run.nfev for run in runs), sum(run.njev for run in runs)
-    assert calls == {"value": nfev + 1, "gradient": njev} and 0 < njev < nfev
+    assert calls == {"value": nfev + len(runs) + 1, "gradient": njev, "bhhh": len(runs)} and 0 < njev < nfev
+
+
+def test_the_golden_fit_takes_at_most_20_values(monkeypatch):
+    # from the BHHH matrix the fit takes 19 values on this series (38 from B = I); the pin allows one more for rounding
+    # that differs across BLAS builds
+    from predbs.data_io import parse_return_series
+
+    runs, minimize = [], volatility.minimize
+    monkeypatch.setattr(volatility, "minimize", lambda *args, **kw: runs.append(minimize(*args, **kw)) or runs[-1])
+    fit_ar_garch(parse_return_series(Path(__file__).parent / "fixtures" / "golden" / "returns.csv"))
+    assert len(runs) == 1 and runs[0].nfev <= 20
 
 
 def test_garch_fit_reaches_the_golden_optimum():
@@ -568,7 +602,7 @@ def test_a_fits_evaluations_after_its_first_allocate_less_than_one_series_array(
     gradient_peaks = []
     monkeypatch.setattr(volatility, "_Workspace", Workspace)
     monkeypatch.setattr(volatility, "minimize", traced)
-    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=n, seed=3))
+    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=n, seed=2))  # 17 values and 15 gradients
     assert made == [(n,)] and len(peaks) > 10 and len(gradient_peaks) > 10
     assert max(peaks[1:]) < 8 * n and max(gradient_peaks) < 8 * n
 
