@@ -24,7 +24,6 @@ points it accepts, right after their value.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +207,12 @@ def _qp(H, Hg, Ha, g, lower, upper, a, slack, on_row):
 
 
 def _dot(u, v) -> float:
-    return sum(map(operator.mul, u, v))
+    """sum_i u_i v_i over the shorter of u and v, added left to right from 0.0: the builtin sum compensates its
+    additions from Python 3.12 on, so its bits would depend on the interpreter."""
+    acc = 0.0
+    for x, y in zip(u, v):
+        acc += x * y
+    return acc
 
 
 def _solve_spd(M: list, b: list) -> list:
@@ -217,29 +221,17 @@ def _solve_spd(M: list, b: list) -> list:
     for i, row in enumerate(M):
         Li = []
         for j, Lj in enumerate(L):
-            acc = 0.0
-            for u, v in zip(Li, Lj):
-                acc += u * v
-            Li.append((row[j] - acc) / Lj[j])
-        acc = 0.0
-        for u in Li:
-            acc += u * u
-        s = row[i] - acc
+            Li.append((row[j] - _dot(Li, Lj)) / Lj[j])
+        s = row[i] - _dot(Li, Li)
         if not s > 0:
             raise ZeroDivisionError("the working-set system is not positive definite")
         Li.append(math.sqrt(s))
         L.append(Li)
     z = []
     for Li, bi in zip(L, b):
-        acc = 0.0
-        for u, v in zip(Li, z):
-            acc += u * v
-        z.append((bi - acc) / Li[-1])
+        z.append((bi - _dot(Li, z)) / Li[-1])
     for i in reversed(range(len(L))):
-        acc = 0.0
-        for m in range(i + 1, len(L)):
-            acc += L[m][i] * z[m]
-        z[i] = (z[i] - acc) / L[i][i]
+        z[i] = (z[i] - _dot([Lm[i] for Lm in L[i + 1:]], z[i + 1:])) / L[i][i]
     return z
 
 

@@ -27,10 +27,11 @@ normals from its own stream, Philox(key=seed).jumped(b), whose counter starts
 b 2^128 steps in, so block 0 is the seed's stream itself.  The blocks are
 drawn in parallel, one thread per CPU the process may run on; no block reads
 another's stream, so the batch is bit-identical however many threads draw it.
-Memory is O(paths + threads max(2^16, steps)); statistics sum in fixed-order
-blocks of 2^16.  The MC pricer draws one Philox normal per path from the
-seed's stream and forms its payoff in place on it: up to 2^16 paths this is
-the simulator's one-step draw, past that the simulator reads jumped streams.
+Memory is O(paths + threads max(2^16, steps)); statistics add the sums of
+blocks of 2^16 correctly rounded (math.fsum).  The MC pricer draws one Philox
+normal per path from the seed's stream and forms its payoff in place on it: up
+to 2^16 paths this is the simulator's one-step draw, past that the simulator
+reads jumped streams.
 numpy is bound once, as the global np, and loads at the module's first numpy call: importing it loads no numpy.
 """
 
@@ -219,14 +220,16 @@ class PathBatch:
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
-    """Mean of x and its standard error std(ddof=1) / sqrt(n), in two passes of fixed-order block sums.
+    """Mean of x and its standard error std(ddof=1) / sqrt(n), in two passes over blocks of 2^16, whose numpy sums
+    add by math.fsum, correctly rounded: the result depends neither on the block order nor on the Python version (the
+    builtin sum compensates from 3.12 on), and up to two blocks it is their plain sum.
 
     Without spread (n = 1 included) there is no sampling error; std would show the mean's rounding.
     Taken on x scaled exactly by the power of two that brings max |x| into [1/2, 1): no overflow.
     """
     e, blocks = math.frexp(float(max(x.max(), -x.min())))[1], range(0, x.size, _BLOCK)
-    mean = sum(float(np.sum(np.ldexp(x[i:i + _BLOCK], -e))) for i in blocks) / x.size
-    ss = sum(float(np.sum((np.ldexp(x[i:i + _BLOCK], -e) - mean) ** 2)) for i in blocks)
+    mean = math.fsum(float(np.sum(np.ldexp(x[i:i + _BLOCK], -e))) for i in blocks) / x.size
+    ss = math.fsum(float(np.sum((np.ldexp(x[i:i + _BLOCK], -e) - mean) ** 2)) for i in blocks)
     se = math.ldexp(math.sqrt(ss / (x.size - 1)) / math.sqrt(x.size), e) if np.ptp(x) > 0 else 0.0
     return math.ldexp(mean, e), se
 

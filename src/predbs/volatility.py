@@ -219,21 +219,16 @@ def _t_constant(eta: float) -> tuple[float, float]:
 
 
 class _Workspace:
-    """Buffers and views for the sigma^2 filter and the likelihood of `size` returns, made once: a fit evaluates every
-    point in one.  Temporaries are written with out= by the formulas' float operations, in order, so bits match.
-    value leaves its intermediates in the buffers, and gradient and bhhh form theirs from them, so a caller that needs
-    the gradient at only some points (the solver's line search reads values alone) pays for it only there."""
+    """The sigma^2 filter and the likelihood of `size` returns: a fit evaluates every point in one.  Each term is a
+    fresh array, but for the two series the doubling scan runs over, sigma^2 and the adjoint g (see gradient), whose
+    buffers and pass views are made here once: built per call, the views cost about as much as the scan.  value
+    keeps what gradient and bhhh read in self.last, so a caller that needs the gradient at only some points (the
+    solver's line search reads values alone) pays for it only there."""
 
     def __init__(self, size: int):
-        n = size - 1
-        self.eps, self.eps2, self.s2, self.tmp = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n + 1)
-        self.s2_now, self.s2_next, self.s2_passes = self.s2[:-1], self.s2[1:], _passes(self.s2, self.tmp)
-        self.last = None  # (params bytes, r, x, dC/deta or None at a penalty) of the value the buffers hold
-        self.d, self.m, self.u, self.log1p_u, self.w, self.e, self.p, self.z, self.z2, self.q, self.t1, self.t2, \
-            self.gr = (np.empty(n) for _ in range(13))  # gr: g = d ll / d sigma^2, reversed (see gradient)
-        self.mask, self.g_next, self.g = np.empty(n, dtype=bool), np.empty(n - 1), self.gr[::-1]
-        self.s2_rev, self.w_rev, self.g_tail, self.t1_head = self.s2[-2::-1], self.w[::-1], self.g[1:], self.t1[:-1]
-        self.g_passes = _passes(self.gr, self.tmp)
+        self.s2, self.tmp, self.gr = np.empty(size), np.empty(size), np.empty(size - 1)  # gr: g, reversed
+        self.s2_passes, self.g_passes = _passes(self.s2, self.tmp), _passes(self.gr, self.tmp)
+        self.last = None  # (params bytes, r, x, -ll, terms) of the last value; terms is None at a penalty
 
     def filter(self, x, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residuals eps_1..eps_T, their squares and sigma^2_1..sigma^2_{T+1} at x = (mu0, phi, omega, a1, b1, eta):
@@ -241,100 +236,93 @@ class _Workspace:
         so the last entry is the one-step-ahead forecast.  Overflow is left as inf or nan, under the caller's
         np.errstate, for the caller's checks."""
         mu0, phi, omega, a1, b1 = x[:5]
-        eps, eps2, s2 = self.eps, self.eps2, self.s2
-        self.last = None  # the buffers no longer hold a value's intermediates
-        np.subtract(np.subtract(r[1:], mu0, out=eps2), np.multiply(r[:-1], phi, out=eps), out=eps)
-        np.multiply(eps, eps, out=eps2)
-        s2[0] = eps2.sum() / eps.size
-        np.add(np.multiply(eps2, a1, out=self.s2_next), omega, out=self.s2_next)
-        return eps, eps2, _scan(s2, b1, self.s2_passes)
+        self.last = None  # s2 no longer holds a value's path
+        eps = (r[1:] - mu0) - r[:-1] * phi
+        eps2 = eps * eps
+        self.s2[0] = eps2.sum() / eps.size
+        self.s2[1:] = eps2 * a1 + omega
+        return eps, eps2, _scan(self.s2, b1, self.s2_passes)
 
     def value(self, params: np.ndarray, r: np.ndarray) -> float:
         """The negative log-likelihood of the returns `r` at params x = (mu0, phi, omega, a1, b1, eta = 1/nu), the sum
         of -ll_t, ll_t = C(eta) - ln(sigma^2)/2 - (1 + eta) m R(eta m)/2, m = eps^2 / ((1 - 2 eta) sigma^2),
         R(u) = log1p(u)/u, R(0) = 1: eta = 0 is the Gaussian limit, and nothing cancels near it.  It is _PENALTY where
-        x is non-finite or not _admissible, or the sigma^2 path is not finite and positive.  What gradient(params, r)
-        reads stays in the buffers and in self.last until the next value or filter."""
-        x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
-        nll, dconst = self._value(x, r)
-        self.last = params.tobytes(), r, x, dconst
-        return nll
+        x is non-finite or not _admissible, or the sigma^2 path is not finite and positive.  Called again at the same
+        params (bit for bit) and series, with no filter between, it returns the value it holds."""
+        if not self._holds(params, r):
+            x = params.tolist()  # Python floats: cheaper scalar arithmetic than numpy's
+            self.last = (params.tobytes(), r, x, *self._value(x, r))
+        return self.last[3]
 
-    def _value(self, x: list[float], r: np.ndarray) -> tuple[float, Optional[float]]:
-        """(-ll, dC/deta), or (_PENALTY, None).  What overflows (a sigma^2 path too small for its residuals) leaves
-        ll non-finite, and so the penalty."""
+    def _holds(self, params: np.ndarray, r: np.ndarray) -> bool:
+        return self.last is not None and self.last[0] == params.tobytes() and self.last[1] is r
+
+    def _value(self, x: list[float], r: np.ndarray) -> tuple[float, Optional[tuple]]:
+        """(-ll, (eps, eps2, d, m, u, log1p_u, dC/deta)), or (_PENALTY, None).  What overflows (a sigma^2 path too
+        small for its residuals) leaves ll non-finite, and so the penalty."""
         mu0, phi, omega, a1, b1, eta = x
         penalty = _PENALTY, None
         if not (all(map(math.isfinite, x)) and _admissible(omega, a1, b1, 1.0 / eta if eta else math.inf)):
             return penalty
         with np.errstate(over="ignore", invalid="ignore"):
-            eps, eps2, _ = self.filter(x, r)
-            s2, t1, t2 = self.s2_now, self.t1, self.t2
+            eps, eps2, s2 = self.filter(x, r)
+            s2 = s2[:-1]
             if not 0.0 < s2.min() <= s2.max() < math.inf:  # False for NaN
                 return penalty
             const, dconst = _t_constant(eta)
-            d = np.multiply(s2, 1.0 - 2.0 * eta, out=self.d)
-            m = np.divide(eps2, d, out=self.m)
-            u = np.multiply(m, eta, out=self.u)
-            log1p_u = np.log1p(u, out=self.log1p_u)
-            t1.fill(1.0)
-            ll = eps.size * const - 0.5 * np.log(s2, out=t2).sum() - 0.5 * (1.0 + eta) * np.dot(
-                m, np.divide(log1p_u, u, out=t1, where=np.greater(u, 0, out=self.mask)))
-        return (-ll, dconst) if math.isfinite(ll) else penalty
+            d = s2 * (1.0 - 2.0 * eta)
+            m = eps2 / d
+            u = m * eta
+            log1p_u = np.log1p(u)
+            ll = eps.size * const - 0.5 * np.log(s2).sum() - 0.5 * (1.0 + eta) * np.dot(
+                m, np.divide(log1p_u, u, out=np.ones_like(u), where=u > 0))
+        return (-ll, (eps, eps2, d, m, u, log1p_u, dconst)) if math.isfinite(ll) else penalty
 
     def _last_at(self, params: np.ndarray, r: np.ndarray) -> tuple:
-        """self.last, after a value call at params on r where the buffers hold another point's (bit for bit) or series'
-        intermediates."""
-        if self.last is None or self.last[0] != params.tobytes() or self.last[1] is not r:
+        """self.last, after a value call at params on r if it holds another point's (bit for bit) or series'."""
+        if not self._holds(params, r):
             self.value(params, r)
         return self.last
 
-    def _terms(self, eta: float) -> tuple[np.ndarray, ...]:
-        """The per-observation terms gradient sums, formed into the buffers from those of the last value: w = (1 + eta)
-        m / (1 + u), with d ll_t / d sigma^2_t = (w_t - 1) / (2 sigma^2_t); e_t = d ll_t / d eps_t through eps_t alone;
-        and p, z and Q of the eta term, -m^2 R'(u)/2 = (m/(2 + u))^2 (1/(1 + z) + z Q), z = u/(2 + u),
-        Q = (atanh z - z)/z^3 or its series at small z."""
-        eps, eps2, d, m, u, t1, t2 = self.eps, self.eps2, self.d, self.m, self.u, self.t1, self.t2
-        w = np.divide(np.multiply(m, 1.0 + eta, out=self.w), np.add(u, 1.0, out=t1), out=self.w)
-        e = np.divide(np.multiply(eps, -(1.0 + eta), out=self.e),
-                      np.add(d, np.multiply(eps2, eta, out=t1), out=t1), out=self.e)
-        p = np.divide(m, np.add(u, 2.0, out=t1), out=self.p)
-        z = np.multiply(p, eta, out=self.z)
-        z2 = np.multiply(z, z, out=self.z2)
-        q = self.q  # the series 1/3 + z2 (1/5 + z2 (1/7 + z2 / 9)), then Q where z > 0.025
-        np.add(np.divide(z2, 9, out=q), 1 / 7, out=q)
-        np.add(np.multiply(z2, q, out=q), 1 / 5, out=q)
-        np.add(np.multiply(z2, q, out=q), 1 / 3, out=q)
-        np.divide(np.subtract(np.multiply(self.log1p_u, 0.5, out=t1), z, out=t1), np.multiply(z2, z, out=t2), out=q,
-                  where=np.greater(z, 0.025, out=self.mask))
-        return w, e, p, z, q
+    def _terms(self, eta: float, terms: tuple) -> tuple[np.ndarray, ...]:
+        """The per-observation partials gradient and bhhh share, from the terms of the last value: d ll_t / d sigma^2_t
+        = (w_t - 1) / (2 sigma^2_t), w = (1 + eta) m / (1 + u); e_t = d ll_t / d eps_t through eps_t alone; and the
+        eta term d ll_t / d eta = C'(eta) + p^2 k - 3 w / (2 (1 + eta)(1 - 2 eta)), where -m^2 R'(u)/2 = p^2 k,
+        p = m/(2 + u), k = 1/(1 + z) + z Q, z = u/(2 + u) and Q = (atanh z - z)/z^3, or its series at small z."""
+        eps, eps2, d, m, u, log1p_u, _ = terms
+        w = m * (1.0 + eta) / (u + 1.0)
+        e = eps * -(1.0 + eta) / (d + eps2 * eta)
+        p = m / (u + 2.0)
+        z = p * eta
+        z2 = z * z
+        q = ((z2 / 9 + 1 / 7) * z2 + 1 / 5) * z2 + 1 / 3
+        np.divide(0.5 * log1p_u - z, z2 * z, out=q, where=z > 0.025)
+        return (w - 1.0) * 0.5 / self.s2[:-1], e, w, p * p, 1.0 / (z + 1.0) + z * q
 
     def gradient(self, params: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The exact gradient of the negative log-likelihood at params (see value), zero at a penalty point:
         g_t = d ll / d sigma^2_t obeys the sigma^2 filter run backwards, g_t = d ll_t / d sigma^2_t + b1 g_{t+1}.  It is
-        formed from the intermediates of the last value call, which runs first if that call was at another point
-        (bit for bit) or series, so the result does not depend on the order of calls.  Entries past the float range
-        (a sigma^2 path far below the residuals, outside the fit's _BOUNDS) read inf or nan."""
-        _, _, x, dconst = self._last_at(params, r)
-        if dconst is None:
+        formed from the terms of the last value call, which runs first if that call was at another point (bit for
+        bit) or series, so the result does not depend on the order of calls.  Entries past the float range (a sigma^2
+        path far below the residuals, outside the fit's _BOUNDS) read inf or nan."""
+        _, _, x, _, terms = self._last_at(params, r)
+        if terms is None:
             return np.zeros(6)
         a1, b1, eta = x[3:]
-        eps, eps2, s2, g, g_tail, t1, t2 = self.eps, self.eps2, self.s2_now, self.g, self.g_tail, self.t1, self.t2
+        eps, eps2, *_, dconst = terms
         with np.errstate(over="ignore", invalid="ignore"):
-            w, e, p, z, q = self._terms(eta)
+            own, e, w, pp, k = self._terms(eta, terms)
             # the adjoint runs the filter backwards, scanned as a reversed copy: numpy is slower on negative strides
-            gr = np.multiply(np.subtract(self.w_rev, 1.0, out=self.gr), 0.5, out=self.gr)
-            _scan(np.divide(gr, self.s2_rev, out=gr), b1, self.g_passes)
+            self.gr[:] = own[::-1]
+            g = _scan(self.gr, b1, self.g_passes)[::-1]
             # total derivative in eps_t: its own term, sigma^2_{t+1} through a1 eps^2_t, and s2_init = mean(eps^2)
-            np.add(e, np.multiply(eps, 2.0 * g[0] / eps.size, out=t1), out=e)
-            e[:-1] += np.multiply(np.multiply(eps[:-1], 2.0 * a1, out=self.t1_head), g_tail, out=self.t1_head)
-            self.g_next[...] = g_tail  # g_2..g_T in order: np.dot would copy the reversed view to call BLAS
+            e = e + eps * (2.0 * g[0] / eps.size)
+            e[:-1] += eps[:-1] * (2.0 * a1) * g[1:]
+            g_next = g[1:].copy()  # g_2..g_T in order: np.dot would copy the reversed view to call BLAS
             return -np.array([
                 -e.sum(), -np.dot(e, r[:-1]),  # mu0, phi
-                g_tail.sum(), np.dot(eps2[:-1], self.g_next), np.dot(s2[:-1], self.g_next),  # omega, a1, b1
-                eps.size * dconst + np.dot(np.multiply(p, p, out=t2), np.add(
-                    np.divide(1.0, np.add(z, 1.0, out=t1), out=t1), np.multiply(z, q, out=q), out=t1))
-                - 1.5 * w.sum() / ((1.0 + eta) * (1.0 - 2.0 * eta)),
+                g[1:].sum(), np.dot(eps2[:-1], g_next), np.dot(self.s2[:-2], g_next),  # omega, a1, b1
+                eps.size * dconst + np.dot(pp, k) - 1.5 * w.sum() / ((1.0 + eta) * (1.0 - 2.0 * eta)),
             ])
 
     def bhhh(self, params: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -342,32 +330,28 @@ class _Workspace:
         Hall, Hall & Hausman, Ann. Econ. Soc. Meas. 3, 1974), zero at a penalty point: positive semidefinite, and near
         the optimum of a well-specified model close to the negative log-likelihood's Hessian.  The sensitivities
         d sigma^2_t / d(mu0, phi, omega, a1, b1) obey the sigma^2 filter's own recurrence with multiplier b1, so all
-        five run as one _scan; to them s_t adds eps_t's own terms and the eta term whose sums gradient forms.  Like
-        gradient, it reads the intermediates of the last value call, which runs first if that was elsewhere."""
-        _, _, x, dconst = self._last_at(params, r)
-        if dconst is None:
+        five run as one _scan; to them s_t adds eps_t's own terms and the eta term.  Like gradient, it reads the terms
+        of the last value call, which runs first if that was elsewhere."""
+        _, _, x, _, terms = self._last_at(params, r)
+        if terms is None:
             return np.zeros((6, 6))
         a1, b1, eta = x[3:]
-        eps, n = self.eps, self.eps.size
+        eps, eps2, *_, dconst = terms
+        n = eps.size
         scores = np.empty((6, n + 1))  # column t: s_t, the last (sigma^2_{T+1}, the forecast, in no ll_t) zero
         ds2, lag = scores[:5], r[:-1]  # d sigma^2_t / d(mu0, phi, omega, a1, b1), t = 1..T+1
         with np.errstate(over="ignore", invalid="ignore"):
-            w, e, p, z, q = self._terms(eta)
+            own, e, w, pp, k = self._terms(eta, terms)
             # sigma^2_1 = mean(eps^2), then omega + a1 eps^2_t + b1 sigma^2_t; d eps_t / d(mu0, phi) = -(1, r_{t-1})
             ds2[:, 0] = -2.0 * eps.sum() / n, -2.0 * np.dot(eps, lag) / n, 0.0, 0.0, 0.0
-            np.multiply(eps, -2.0 * a1, out=ds2[0, 1:])
-            np.multiply(ds2[0, 1:], lag, out=ds2[1, 1:])
-            ds2[2, 1:], ds2[3, 1:], ds2[4, 1:] = 1.0, self.eps2, self.s2_now
+            ds2[0, 1:] = eps * (-2.0 * a1)
+            ds2[1, 1:] = ds2[0, 1:] * lag
+            ds2[2, 1:], ds2[3, 1:], ds2[4, 1:] = 1.0, eps2, self.s2[:-1]
             _scan(ds2, b1, _passes(ds2, np.empty_like(ds2)))
-            ds2[:, :-1] *= np.divide(np.multiply(np.subtract(w, 1.0, out=self.t1), 0.5, out=self.t1), self.s2_now,
-                                     out=self.t1)  # d ll_t / d sigma^2_t
+            ds2[:, :-1] *= own
             scores[0, :-1] -= e
-            scores[1, :-1] -= np.multiply(e, lag, out=self.t1)
-            eta_t = scores[5, :-1]
-            np.add(np.divide(1.0, np.add(z, 1.0, out=self.t1), out=self.t1), np.multiply(z, q, out=q), out=eta_t)
-            eta_t *= np.multiply(p, p, out=self.t2)
-            eta_t -= np.multiply(w, 1.5 / ((1.0 + eta) * (1.0 - 2.0 * eta)), out=self.t1)
-            eta_t += dconst
+            scores[1, :-1] -= e * lag
+            scores[5, :-1] = k * pp - w * (1.5 / ((1.0 + eta) * (1.0 - 2.0 * eta))) + dconst
             scores[:, -1] = 0.0
             return scores @ scores.T
 
@@ -394,9 +378,9 @@ def fit_ar_garch(series: ReturnSeries) -> GarchParams:
     standardized to unit variance so that every parameter is O(1), and evaluates every point in one _Workspace.  Each
     run's first model of the Hessian is the BHHH matrix at its first point (see _Workspace.bhhh), which puts the
     parameters' curvatures, orders of magnitude apart, in scale: a fit on garch-vol's inputs takes about 14 values
-    from it, 35 from B = I.  It reads the value at every point and the gradient only where it asks for one, formed from the buffers of the
-    value at that point.  A fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The reported log-likelihood is
-    evaluated at the returned parameters on the unscaled returns."""
+    from it, 35 from B = I.  It reads the value at every point and the gradient only where it asks for one, formed from
+    the terms of the value at that point.  A fit that ends at eta = 0 returns nu = inf, the Gaussian limit.  The
+    reported log-likelihood is evaluated at the returned parameters on the unscaled returns."""
     if len(series) < 250:
         raise InputError(f"need >= 250 observations to fit, got {len(series)}")
     u, e = _in_units(series.returns)

@@ -18,6 +18,6 @@ def brownian_paths() -> dict[str, BrownianPath]:
     """The committed Brownian fixture paths (CSV with header ``t,B``), by file name."""
     paths = {}
     for file in sorted(FIXTURES.glob("brownian_T1_4096_seed*.csv")):
-        rows = np.loadtxt(file, delimiter=",", skiprows=1)
+        rows = np.loadtxt(file, delimiter=",", skiprows=1, encoding="utf-8")
         paths[file.name] = BrownianPath(rows[:, 0], rows[:, 1])
     return paths

@@ -315,7 +315,7 @@ def returns_csv(tmp_path):
             day, month = 1, month + 1
         lines.append(f"2014-{month:02d}-{day:02d},{r:.17g}")
     f = tmp_path / "returns.csv"
-    f.write_text("\n".join(lines) + "\n")
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return f
 
 
@@ -354,7 +354,7 @@ def test_vol_garch_method(tmp_path, capsys):
     lines = ["date,log_return"] + [
         f"{d.isoformat()},{r:.17g}" for d, r in zip(series.dates, series.returns)
     ]
-    f.write_text("\n".join(lines) + "\n")
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "vol", "--method", "garch", "--returns", str(f),
                            "--format", "json")
     assert code == 0
@@ -410,15 +410,15 @@ def test_surface_leaves_out_a_quote_whose_moneyness_overflows(tmp_path, capsys):
     chain = tmp_path / "chain.csv"
     chain.write_text("quote_date,expiry,strike,right,bid,ask\n"
                      "2015-01-02,2016-01-02,1e300,call,1e299,1e299\n"
-                     "2015-01-02,2016-01-02,1e-300,call,1e300,1e300\n")
+                     "2015-01-02,2016-01-02,1e-300,call,1e300,1e300\n", encoding="utf-8")
     out_csv = tmp_path / "s.csv"
     code, out, err = run_cli(capsys, "surface", "--chain", str(chain), "--spot", "1e300", "--rate", "0.02",
                              "--method", "vix", "--vix", "20", "--out", str(out_csv), "--format", "json")
     assert code == 0, err
     assert "moneyness spot/strike must be finite and > 0, got inf" in err
     assert strict_json(out)["points"] == 1 and strict_json(out)["failures"] == 1
-    rows = out_csv.read_text().splitlines()
-    assert len(rows) == 2 and rows[1].startswith("1,") and "inf" not in out_csv.read_text()
+    rows = out_csv.read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 2 and rows[1].startswith("1,") and "inf" not in out_csv.read_text(encoding="utf-8")
     assert len(read_surface(out_csv)) == 1
 
 
@@ -484,15 +484,15 @@ def test_surface_and_diff_flow(fixtures_dir, tmp_path, capsys):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["dp_min"] == 0.0 and doc["dp_max"] == 0.0
-    assert diff_out.read_text().splitlines()[0] == "moneyness,tau_years,dp"
+    assert diff_out.read_text(encoding="utf-8").splitlines()[0] == "moneyness,tau_years,dp"
 
 
 def test_surface_notes_go_to_stderr(fixtures_dir, tmp_path, capsys):
     # cmd_surface: `print(f"skipped: {note}", ...)` and `print(f"not calibrated: {note}", ...)`
     chain = tmp_path / "chain.csv"
-    chain.write_text((fixtures_dir / "chain_2015_mimic.csv").read_text()
+    chain.write_text((fixtures_dir / "chain_2015_mimic.csv").read_text(encoding="utf-8")
                      + "2015-01-02,2015-04-17,300,call,9,8\n"     # ask below bid: skipped by the parser
-                     + "2015-01-02,2015-04-17,310,call,0,0\n")    # zero mid: not calibrated
+                     + "2015-01-02,2015-04-17,310,call,0,0\n", encoding="utf-8")    # zero mid: not calibrated
     code, out, err = run_cli(
         capsys, "surface", "--chain", str(chain), "--spot", "206.38", "--rate", "0.0212",
         "--method", "vix", "--vix", "15", "--out", str(tmp_path / "s.csv"), "--format", "json")
@@ -699,7 +699,7 @@ def test_cli_import_leaves_scipy_signal_unloaded(fixtures_dir, tmp_path):
         "        assert predbs.cli.main(argv) == 0\n"
         "    print(loaded())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, encoding="utf-8")
     assert proc.stdout.split() == ["[]"] * 3
 
 
@@ -735,7 +735,7 @@ def test_cli_leaves_scipy_optimize_unloaded(argvs, unloaded, loaded, fixtures_di
         "        assert predbs.cli.main(argv) == 0\n"
         f"print(*[m for m in {unloaded + loaded!r} if m in sys.modules])\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, encoding="utf-8")
     assert proc.stdout.split() == loaded
 
 
@@ -750,13 +750,13 @@ def test_garch_vol_prints_its_golden_record_without_scipy(fixtures_dir):
         "import predbs.cli\n"
         f"sys.exit(predbs.cli.main({argv!r}))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, encoding="utf-8")
     assert proc.stdout == step["stdout"]
 
 
 def _fresh_import(statement: str) -> str:
     """stdout of `statement` run in a fresh interpreter."""
-    return subprocess.run([sys.executable, "-c", statement], capture_output=True, check=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", statement], capture_output=True, check=True, encoding="utf-8").stdout
 
 
 def test_package_import_loads_no_module():

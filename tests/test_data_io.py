@@ -391,7 +391,7 @@ def test_surface_round_trip_empty(tmp_path):
                                     as_of=date(2015, 1, 2), points=())
     out = tmp_path / "empty.csv"
     write_surface(surface, out)
-    assert out.read_text().strip() == "moneyness,tau_years,p,clamped,market_price,model_price,residual"
+    assert out.read_text(encoding="utf-8").strip() == "moneyness,tau_years,p,clamped,market_price,model_price,residual"
     back = read_surface(out)
     assert back.points == ()
     assert back.method == "vix"
@@ -402,10 +402,10 @@ def test_surface_read_ignores_extra_column_with_warning(tmp_path):
     surface = random_surface(rng, n=4)
     out = tmp_path / "surface.csv"
     write_surface(surface, out)
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     lines[0] += ",note"
     body = [line + ",hello" for line in lines[1:]]
-    out.write_text("\n".join([lines[0]] + body) + "\n")
+    out.write_text("\n".join([lines[0]] + body) + "\n", encoding="utf-8")
     with pytest.warns(UserWarning, match="ignoring unknown columns"):
         back = read_surface(out)
     assert back == surface
@@ -416,11 +416,11 @@ def test_surface_read_rejects_row_short_of_a_later_column(tmp_path):
     surface = random_surface(rng, n=2)
     out = tmp_path / "surface.csv"
     write_surface(surface, out)
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     lines[0] = "note," + lines[0]
     body = ["x," + line for line in lines[1:]]
     body[1] = body[1].rsplit(",", 1)[0]  # drop the residual
-    out.write_text("\n".join([lines[0]] + body) + "\n")
+    out.write_text("\n".join([lines[0]] + body) + "\n", encoding="utf-8")
     with pytest.warns(UserWarning, match="ignoring unknown columns"):
         with pytest.raises(ParseError, match="line 3: expected 8 fields, got 7"):
             read_surface(out)
@@ -441,20 +441,20 @@ def test_surface_read_rejects_bad_sidecar(tmp_path):
     surface = random_surface(rng, n=1)  # one point: "points": true and 1.0 would pass a loose count
     out = tmp_path / "surface.csv"
     write_surface(surface, out)
-    (tmp_path / "surface.json").write_text("{not json")
+    (tmp_path / "surface.json").write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError):
         read_surface(out)
-    (tmp_path / "surface.json").write_text('{"spot": 1.0, "rate": 0.0}')  # no method
+    (tmp_path / "surface.json").write_text('{"spot": 1.0, "rate": 0.0}', encoding="utf-8")  # no method
     with pytest.raises(ParseError):
         read_surface(out)
     for text in ('5', '["method", "spot", "rate", "points"]'):  # valid JSON, not an object
-        (tmp_path / "surface.json").write_text(text)
+        (tmp_path / "surface.json").write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match="not a JSON object"):
             read_surface(out)
     write_surface(surface, out)
-    meta = (tmp_path / "surface.json").read_text()
+    meta = (tmp_path / "surface.json").read_text(encoding="utf-8")
     for as_of in ('5', '"2015-13-45"'):
-        (tmp_path / "surface.json").write_text(meta.replace('"2015-01-02"', as_of))
+        (tmp_path / "surface.json").write_text(meta.replace('"2015-01-02"', as_of), encoding="utf-8")
         with pytest.raises(ParseError, match="invalid content"):
             read_surface(out)
     loaded = json.loads(meta)
@@ -462,7 +462,7 @@ def test_surface_read_rejects_bad_sidecar(tmp_path):
                        ("spot", math.nan), ("spot", -5.0), ("spot", True), ("spot", "100"),
                        ("rate", math.inf), ("rate", False), ("points", True), ("points", 1.0),
                        ("as_of", False), ("as_of", 0), ("as_of", "")):
-        (tmp_path / "surface.json").write_text(json.dumps({**loaded, key: value}))
+        (tmp_path / "surface.json").write_text(json.dumps({**loaded, key: value}), encoding="utf-8")
         with pytest.raises(ParseError, match="invalid content|metadata sidecar says"):
             read_surface(out)
     (tmp_path / "surface.json").write_bytes(b"\xff\xfe{")
@@ -475,8 +475,8 @@ def test_surface_read_rejects_truncated_file(tmp_path):
     surface = random_surface(rng, n=52)
     out = tmp_path / "surface.csv"
     write_surface(surface, out)
-    lines = out.read_text().splitlines(keepends=True)
-    out.write_text("".join(lines[:-3]))  # last 3 rows cut off; the sidecar still says 52
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    out.write_text("".join(lines[:-3]), encoding="utf-8")  # last 3 rows cut off; the sidecar still says 52
     with pytest.raises(ParseError, match="says 52 points, file has 49 rows"):
         read_surface(out)
 
@@ -486,8 +486,9 @@ def test_surface_read_rejects_bad_flag(tmp_path):
     surface = random_surface(rng, n=2)
     out = tmp_path / "surface.csv"
     write_surface(surface, out)
-    text = out.read_text().replace("none", "sometimes").replace("at_minus_one", "sometimes").replace("at_plus_one", "sometimes")
-    out.write_text(text)
+    text = out.read_text(encoding="utf-8")
+    text = text.replace("none", "sometimes").replace("at_minus_one", "sometimes").replace("at_plus_one", "sometimes")
+    out.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError):
         read_surface(out)
 
@@ -501,7 +502,7 @@ def test_surface_read_rejects_p_out_of_range(tmp_path):
                                  market_price=4.0, model_price=4.0, residual=0.0),))
     out = tmp_path / "surface.csv"
     write_surface(surface, out)
-    out.write_text(out.read_text().replace(",0.5,", ",1.5,"))
+    out.write_text(out.read_text(encoding="utf-8").replace(",0.5,", ",1.5,"), encoding="utf-8")
     with pytest.raises(ParseError, match=r"line 2: calibrated p must be in \[-1, 1\], got 1.5"):
         read_surface(out)
 
@@ -517,7 +518,7 @@ def test_surface_read_takes_only_finite_positive_moneyness(tmp_path, moneyness, 
                                  market_price=4.0, model_price=4.0, residual=0.0),))
     out = tmp_path / "surface.csv"
     write_surface(surface, out)
-    out.write_text(out.read_text().replace("\n1.25,", f"\n{moneyness},"))
+    out.write_text(out.read_text(encoding="utf-8").replace("\n1.25,", f"\n{moneyness},"), encoding="utf-8")
     if accepted:
         assert read_surface(out).points[0].moneyness == float(moneyness)
     else:
@@ -540,8 +541,9 @@ _ROW = "1.25,0.25,0.5,none,4,4,0"
 def test_surface_read_reports_the_first_faulty_line(tmp_path, rows, message):
     # two faults of different kinds: the message is the earlier line's, and blank lines count in its number
     out = tmp_path / "surface.csv"
-    out.write_text("\n".join([",".join(SURFACE_HEADER), *rows]) + "\n")
-    (tmp_path / "surface.json").write_text(json.dumps({"method": "vix", "spot": 1.0, "rate": 0.0, "points": 9}))
+    out.write_text("\n".join([",".join(SURFACE_HEADER), *rows]) + "\n", encoding="utf-8")
+    (tmp_path / "surface.json").write_text(json.dumps({"method": "vix", "spot": 1.0, "rate": 0.0, "points": 9}),
+                                           encoding="utf-8")
     with pytest.raises(ParseError, match=f"^surface {re.escape(message)}$"):
         read_surface(out)
 
@@ -552,7 +554,8 @@ def test_surface_read_names_the_physical_line_a_row_starts_on(tmp_path, eol):
     rows = [_ROW, '"1.5' + eol + '",0.25,0.5,none,4,4,0', "1.75,0.25,x,none,4,4,0"]
     out = tmp_path / "surface.csv"
     out.write_bytes((eol.join([",".join(SURFACE_HEADER), *rows]) + eol).encode())
-    (tmp_path / "surface.json").write_text(json.dumps({"method": "vix", "spot": 1.0, "rate": 0.0, "points": 3}))
+    (tmp_path / "surface.json").write_text(json.dumps({"method": "vix", "spot": 1.0, "rate": 0.0, "points": 3}),
+                                           encoding="utf-8")
     with pytest.raises(ParseError, match=r"^surface line 5: bad number 'x'$"):
         read_surface(out)
 
@@ -562,7 +565,7 @@ def test_write_surface_diff(tmp_path):
                        points=((1.0, 0.25, 0.125), (1.05, 0.25, -0.5)))
     out = tmp_path / "diff.csv"
     write_surface_diff(diff, out)
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "moneyness,tau_years,dp"
     assert lines[1] == "1,0.25,0.125"
     assert len(lines) == 3

@@ -390,6 +390,14 @@ def test_statistic_of_one_block_is_numpys(n):
     assert _mean_and_se(x) == (float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n)))
 
 
+def test_statistic_adds_its_block_sums_correctly_rounded():
+    # block sums 2^53, 1, -2^53 and 1: added left to right the first 1 rounds away and the mean reads half its value
+    block = 1 << 16
+    x = np.zeros(4 * block)
+    x[:block], x[block], x[2 * block:3 * block], x[3 * block] = 2.0**37, 1.0, -2.0**37, 1.0
+    assert _mean_and_se(x)[0] == 2.0 / x.size
+
+
 def test_statistic_memory_does_not_grow_with_paths():
     # two passes over blocks hold one block (0.5 MB) at a time; one paths-long copy alone would be 7.6 MB
     cfg = PathSimConfig(mu=0.0, sigma=0.2, alpha=0.0, s0=1.0, horizon=1.0, steps=1, paths=1_000_000)

@@ -112,6 +112,12 @@ def test_a_first_model_that_is_not_finite_and_positive_definite_is_the_identity(
     assert got == want
 
 
+def test_dot_adds_left_to_right_on_every_python():
+    # the builtin sum compensates from Python 3.12 on and would return 2.0 here: the solver's bits would differ by
+    # interpreter
+    assert _sqp._dot([2.0**53, 1.0, -2.0**53, 1.0], [1.0] * 4) == 1.0
+
+
 def s150(i):
     """Series i of 150: parameters drawn in order from one Philox stream, the series from its own seed."""
     rng = np.random.Generator(np.random.Philox(key=20261021))

@@ -575,36 +575,49 @@ def test_garch_fit_refuses_any_start_count_but_one(monkeypatch, starts):
         fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=300, seed=1))
 
 
-def test_a_fits_evaluations_after_its_first_allocate_less_than_one_series_array(monkeypatch):
-    # the fit makes one workspace, for every evaluation and for its log-likelihood; with a fresh array per
-    # temporary an evaluation peaked at about 18 series-sized arrays
-    n, minimize, peaks, made = 5_000, volatility.minimize, [], []
+def test_a_fits_evaluations_peak_at_most_one_series_array_above_their_measured_count(monkeypatch):
+    # the fit makes one workspace, for every evaluation and for its log-likelihood, which keeps buffers only for the
+    # two series the doubling scan runs over; every other term is a fresh array.  At n = 5,000 a value peaked at 7.2
+    # series arrays, a gradient at 11.0 and the BHHH matrix, its first value included, at 25; each bound is one array
+    # more, so that a scan that allocates per pass or a term that leaks still fails
+    n, minimize, made, peaks = 5_000, volatility.minimize, [], {"value": [], "gradient": [], "bhhh": []}
 
-    class Workspace(volatility._Workspace):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
-
-    def measured(f, peaks):
-        def call(x, *a):
+    def measured(f, name):
+        def call(*args):
             tracemalloc.start()
             try:
-                out = f(x, *a)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                out = f(*args)
+                peaks[name].append(tracemalloc.get_traced_memory()[1] / (8 * n))
             finally:
                 tracemalloc.stop()
             return out
         return call
 
-    def traced(fun, x0, args, jac, **kwargs):  # values and gradients are measured apart
-        return minimize(measured(fun, peaks), x0, args, jac=measured(jac, gradient_peaks), **kwargs)
+    class Workspace(volatility._Workspace):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+            self.bhhh = measured(self.bhhh, "bhhh")
 
-    gradient_peaks = []
+    def traced(fun, x0, args, jac, **kwargs):  # values and gradients are measured apart
+        return minimize(measured(fun, "value"), x0, args, jac=measured(jac, "gradient"), **kwargs)
+
     monkeypatch.setattr(volatility, "_Workspace", Workspace)
     monkeypatch.setattr(volatility, "minimize", traced)
-    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=n, seed=2))  # 17 values and 15 gradients
-    assert made == [(n,)] and len(peaks) > 10 and len(gradient_peaks) > 10
-    assert max(peaks[1:]) < 8 * n and max(gradient_peaks) < 8 * n
+    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=n, seed=2))
+    assert made == [(n,)] and len(peaks["value"]) > 10 and len(peaks["gradient"]) > 10 and len(peaks["bhhh"]) == 1
+    assert max(peaks["value"][1:]) <= 8.2 and max(peaks["gradient"]) <= 12.0 and peaks["bhhh"][0] <= 26.0
+
+
+def test_a_fit_computes_each_runs_first_value_once(monkeypatch):
+    # the BHHH matrix a run starts from evaluates its first point, and the solver's first value there, at the same
+    # bits and on the same series, returns the value held: nfev - 1 computations for the solver, one for the matrix
+    # and one for the reported log-likelihood
+    computed, runs, minimize, compute = [], [], volatility.minimize, volatility._Workspace._value
+    monkeypatch.setattr(volatility._Workspace, "_value", lambda ws, *args: computed.append(args) or compute(ws, *args))
+    monkeypatch.setattr(volatility, "minimize", lambda *args, **kw: runs.append(minimize(*args, **kw)) or runs[-1])
+    fit_ar_garch(simulate_ar_garch(TRUE_PARAMS, n=1_000, seed=3))
+    assert len(runs) == 1 and len(computed) == runs[0].nfev + 1
 
 
 def test_garch_requires_min_length():
